@@ -3,12 +3,12 @@
 Spack's public binary cache indexes tens of thousands of specs; a
 monolithic ``index.json`` makes every open parse the world and every
 push rewrite it.  This bench fabricates a synthetic index at that
-scale and measures the three hot operations in both formats:
+scale and measures the three hot operations:
 
 * **open + single lookup** — v1 parses every spec; v2 reads the
   manifest and exactly one shard;
-* **push + save** — v1 rewrites the whole index; v2 appends to the
-  journal and folds one dirty shard;
+* **push + save** — the sharded index appends to the journal and
+  folds one dirty shard;
 * **single-pass relocation** — one combined-alternation scan vs the
   legacy per-prefix loop at a many-dependency prefix map.
 
@@ -86,7 +86,7 @@ def report_at_end(layouts):
     report = FigureReport(
         "cache_scale", f"index operations at {SPEC_COUNT} cached specs"
     )
-    for key in ("open_v1_s", "open_v2_s", "push_save_v1_s", "push_save_v2_s",
+    for key in ("open_v1_s", "open_v2_s", "push_save_v2_s",
                 "relocate_legacy_s", "relocate_single_pass_s"):
         if key in _results:
             report.rows.append({"op": key, "seconds": round(_results[key], 5)})
@@ -95,11 +95,6 @@ def report_at_end(layouts):
     if "open_v1_s" in _results and "open_v2_s" in _results:
         report.headline(
             "open_speedup", _results["open_v1_s"] / max(_results["open_v2_s"], 1e-9)
-        )
-    if "push_save_v1_s" in _results and "push_save_v2_s" in _results:
-        report.headline(
-            "push_save_speedup",
-            _results["push_save_v1_s"] / max(_results["push_save_v2_s"], 1e-9),
         )
     if "relocate_legacy_s" in _results and "relocate_single_pass_s" in _results:
         report.headline(
@@ -152,43 +147,17 @@ class TestOpenAndLookup:
 
 
 class TestPushAndSave:
-    def _timed_push_save(self, ws, source, name, write_v1):
-        root = ws / name
-        if root.exists():
-            shutil.rmtree(root)
-        shutil.copytree(source, root)
-        h, doc = fake_entry(SPEC_COUNT + hash(name) % 1000)
-        index = ShardedIndex(root)
-        if write_v1:
-            os.environ["REPRO_BUILDCACHE_WRITE_V1"] = "1"
-        try:
-            start = time.perf_counter()
-            index.record_push({h: doc}, {}, {})
-            index.save()
-            elapsed = time.perf_counter() - start
-        finally:
-            os.environ.pop("REPRO_BUILDCACHE_WRITE_V1", None)
-        assert ShardedIndex(root).get_spec(h) == doc
-        return elapsed
-
-    def test_push_save_v1_rewrites_world(self, layouts):
-        ws, v1, v2, some_hash = layouts
-        _results["push_save_v1_s"] = self._timed_push_save(
-            ws, v1, "push-v1", write_v1=True
-        )
-
     def test_push_save_v2_folds_one_shard(self, layouts):
         ws, v1, v2, some_hash = layouts
-        _results["push_save_v2_s"] = self._timed_push_save(
-            ws, v2, "push-v2", write_v1=False
-        )
-
-    def test_incremental_push_beats_full_rewrite(self, layouts):
-        """At 20k specs a journaled single-shard fold must beat the
-        monolithic rewrite by a wide margin."""
-        if "push_save_v1_s" not in _results or "push_save_v2_s" not in _results:
-            pytest.skip("push timings not collected")
-        assert _results["push_save_v2_s"] < _results["push_save_v1_s"]
+        root = ws / "push-v2"
+        shutil.copytree(v2, root)
+        h, doc = fake_entry(SPEC_COUNT + 1)
+        index = ShardedIndex(root)
+        start = time.perf_counter()
+        index.record_push({h: doc}, {}, {})
+        index.save()
+        _results["push_save_v2_s"] = time.perf_counter() - start
+        assert ShardedIndex(root).get_spec(h) == doc
 
 
 class TestRelocationScaling:

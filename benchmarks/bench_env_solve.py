@@ -1,9 +1,9 @@
-"""Environment-scale concretization: batch solve, ground cache, incremental.
+"""Environment-scale concretization: batch solve and ground cache.
 
 An environment's roots used to be solved one ``spack spec`` at a time;
 ``Concretizer.solve_all`` puts every root in ONE ASP program, so the
 repository encoding, the reuse facts, and every shared ground rule are
-paid for once.  This bench measures the three new paths against the
+paid for once.  This bench measures the two new paths against the
 sequential baseline over the full RADIUSS root set:
 
 * **seq**    — one fresh Concretizer per root (the historical cost of
@@ -11,9 +11,7 @@ sequential baseline over the full RADIUSS root set:
 * **batch**  — one ``solve_all`` over every root (headline: speedup);
 * **warm**   — the identical batch re-solved through an enabled
   ground-program cache (headline: setup_s and ground_s must be 0.0 —
-  neither span even opens on the cached path);
-* **incremental** — one shared monotone ground state, each root solved
-  as a delta against it (``asp.ground_delta``).
+  neither span even opens on the cached path).
 
 Run:   pytest benchmarks/bench_env_solve.py
 Scale: REPRO_ENV_SOLVE_ROOTS (default: all 32 RADIUSS roots)
@@ -75,7 +73,7 @@ def report_at_end():
         "env_solve",
         f"environment-scale concretization over {len(ROOTS)} RADIUSS roots",
     )
-    for label in ("seq", "batch", "warm", "incremental"):
+    for label in ("seq", "batch", "warm"):
         if label in _results:
             report.add_timing(_results[label])
     for key, value in sorted(_headlines.items()):
@@ -154,27 +152,3 @@ def test_warm_ground_cache():
     if "batch" in _results:
         _headlines["warm_speedup_vs_batch"] = _results["batch"].mean / sample.seconds
 
-
-def test_incremental_resolves():
-    """Re-solve after one root changes: only the delta is re-ground.
-
-    The incremental path shines when the request *almost* repeats —
-    here the environment drops one root — because the shared monotone
-    ground state already holds every base (repo + logic) instance and
-    only the changed request facts are delta-ground
-    (``asp.ground_delta``; no ``asp.ground`` span opens at all).
-    """
-    repo = bench_repo()
-    reusable = local_cache_specs()
-    changed = ROOTS[:-1] if len(ROOTS) > 1 else ROOTS
-    concretizer = Concretizer(repo, reusable_specs=reusable, incremental=True)
-    concretizer.solve(ROOTS)  # primes the shared base + request state
-    sample, result = _sample(lambda: concretizer.solve(changed))
-    assert len(result.roots) == len(changed)
-    assert sample.phases["ground"] == 0.0  # only ground_delta ran
-    _record("incremental", sample)
-    fresh = Concretizer(repo, reusable_specs=reusable)
-    fresh_sample, _ = _sample(lambda: fresh.solve(changed))
-    _headlines["incremental_resolve_speedup_vs_fresh_batch"] = (
-        fresh_sample.seconds / sample.seconds
-    )

@@ -12,11 +12,11 @@ corruption and drift are caught before a consumer trips over them.
   the v3 manifest records for it (or the shard is missing/unparseable).
 * CACHE002 (error) — the manifest's own digest does not equal the
   recomputation over its sorted per-shard digest lines.
-* CACHE003 — summary sidecar problems: a stale or unparseable sidecar
-  is a warning (readers ignore it: slower, never wrong); a sidecar
-  whose stamped digest *matches* the manifest but whose content
-  disagrees with the shard documents is an error — it would wrongly
-  prove hashes absent (false negatives) or present (phantoms).
+* CACHE003 — summary sidecar problems: a sidecar whose bytes do not
+  hash to the sha256 the manifest records, or that is unparseable, is a
+  warning (readers ignore it: slower, never wrong); sidecar content
+  that disagrees with the shard documents is an error — it claims
+  hashes absent (false negatives) or present (phantoms).
 * CACHE004 (note/warning) — journal entries not yet folded into shards
   (note); an unparseable journal line (warning).
 * CACHE005 (error) — blob-entry integrity: a payload file whose bytes
@@ -215,16 +215,11 @@ def check_shards(ctx) -> Iterable[Diagnostic]:
 )
 def check_summary(ctx) -> Iterable[Diagnostic]:
     from ..buildcache.index import INDEX_VERSION, SUMMARY_NAME
-    from ..buildcache.summary import (
-        _KINDS,
-        SummaryFormatError,
-        summary_from_document,
-    )
+    from ..buildcache.summary import SummaryFormatError, summary_from_document
 
     raw = _get(ctx, SUMMARY_NAME)
     if raw is None:
         return  # no sidecar is a valid (slower) configuration
-    manifest = _manifest_of(ctx) or {}
     try:
         sidecar = json.loads(raw)
         if not isinstance(sidecar, dict):
@@ -245,25 +240,18 @@ def check_summary(ctx) -> Iterable[Diagnostic]:
             f"not the supported v{INDEX_VERSION}; readers ignore it",
         )
         return
-    if sidecar.get("kind") not in _KINDS:
+    recorded = (_manifest_of(ctx) or {}).get("summary_sha256")
+    if recorded != _sha(raw):
         yield Diagnostic(
             "CACHE003",
             Severity.WARNING,
-            f"summary sidecar declares unknown kind "
-            f"{sidecar.get('kind')!r}; readers ignore it",
+            f"summary sidecar bytes hash to {_sha(raw)[:12]}, not the "
+            f"{str(recorded)[:12]} the manifest records (torn write, "
+            "foreign writer, or corruption); readers fall back to shard "
+            "reads",
         )
-        return
-    if sidecar.get("digest") != manifest.get("digest"):
-        yield Diagnostic(
-            "CACHE003",
-            Severity.WARNING,
-            "summary sidecar is stamped with a digest that does not match "
-            "the manifest (stale write or foreign writer); readers fall "
-            "back to shard reads",
-        )
-        return
-    # the stamp matches, so readers WILL trust this sidecar: its content
-    # must now agree exactly with the shard documents
+    # whether or not readers trust it, the sidecar's content must agree
+    # exactly with the shard documents
     documents = _shard_documents(ctx)
     summaries = dict(sidecar.get("shards", {}))
     for prefix in sorted(set(documents) | set(summaries)):
@@ -276,8 +264,8 @@ def check_summary(ctx) -> Iterable[Diagnostic]:
                     "CACHE003",
                     Severity.ERROR,
                     f"summary sidecar covers no entry for shard {prefix}; "
-                    f"readers would treat its {len(shard_hashes)} spec(s) "
-                    "as absent",
+                    f"it would report its {len(shard_hashes)} spec(s) "
+                    "absent",
                 )
             continue
         try:
@@ -286,28 +274,23 @@ def check_summary(ctx) -> Iterable[Diagnostic]:
             yield Diagnostic(
                 "CACHE003",
                 Severity.ERROR,
-                f"summary entry for shard {prefix} is corrupt despite a "
-                f"matching digest stamp: {e}",
+                f"summary entry for shard {prefix} is corrupt: {e}",
             )
             continue
-        missing = sorted(h for h in shard_hashes if not summary.contains(h))
-        for h in missing:
+        for h in sorted(h for h in shard_hashes if not summary.contains(h)):
             yield Diagnostic(
                 "CACHE003",
                 Severity.ERROR,
                 f"summary for shard {prefix} reports spec {h[:12]} absent "
-                "although the shard document holds it (a false negative "
-                "readers would trust)",
+                "although the shard document holds it (a false negative)",
             )
-        if summary.enumerable:
-            for h in sorted(set(summary.hashes()) - shard_hashes):
-                yield Diagnostic(
-                    "CACHE003",
-                    Severity.ERROR,
-                    f"summary for shard {prefix} enumerates spec {h[:12]} "
-                    "that the shard document does not hold (a phantom "
-                    "entry)",
-                )
+        for h in sorted(set(summary.hashes()) - shard_hashes):
+            yield Diagnostic(
+                "CACHE003",
+                Severity.ERROR,
+                f"summary for shard {prefix} enumerates spec {h[:12]} "
+                "that the shard document does not hold (a phantom entry)",
+            )
 
 
 @checker(

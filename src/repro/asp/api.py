@@ -120,9 +120,9 @@ class Control:
 
     def use_ground_program(self, ground_program) -> None:
         """Inject an externally produced :class:`GroundProgram` (a
-        ground-cache hit or an incremental re-ground); :meth:`solve`
-        will skip grounding entirely and no ``asp.ground`` span opens,
-        so the cached path provably spends zero ground time."""
+        ground-cache hit); :meth:`solve` will skip grounding entirely
+        and no ``asp.ground`` span opens, so the cached path provably
+        spends zero ground time."""
         self._ground_program = ground_program
         self._ground_span = None
 

@@ -14,26 +14,6 @@ Join order is chosen greedily per binding step: evaluable comparisons
 first, then the positive literal with the most bound arguments (using a
 per-(signature, position, value) index to keep candidate lists short).
 This keeps grounding near-linear for the concretizer's rule shapes.
-
-**Monotone mode** (``Grounder(program, monotone=True)``) supports
-incremental re-grounding: :meth:`prepare` runs the possible-atom
-fixpoint once over the *base* program, and :meth:`ground_with` then
-produces a ground program for base + per-solve *volatile* facts (and
-head-less volatile rules) by resuming the fixpoint from just the new
-atoms and re-running only the instantiation phase.  Soundness rests on
-three facts:
-
-* the possible-atom index only ever *grows*, so it over-approximates
-  the possible set of any base+volatile program seen so far; extra rule
-  instances mention atoms with no support, which the translator's
-  completion forces false (stale atoms are inert, including choice
-  elements conditioned on since-removed facts);
-* negative literals are only dropped when their atom was never possible
-  in *any* solve — a superset check, still sound;
-* certainty is restricted to what the base program alone derives
-  (volatile facts are possible but never certain, and the
-  negation-based :meth:`_certain_fixpoint` — which is only valid
-  against a *final* possible set — is skipped entirely).
 """
 
 from __future__ import annotations
@@ -231,17 +211,10 @@ class _Joiner:
 
 
 class Grounder:
-    """Grounds a :class:`Program` into a :class:`GroundProgram`.
+    """Grounds a :class:`Program` into a :class:`GroundProgram`."""
 
-    With ``monotone=True`` the grounder keeps enough state to be
-    *extended* with volatile facts after the initial fixpoint (see the
-    module docstring for the soundness argument); the classic
-    single-shot path is unchanged.
-    """
-
-    def __init__(self, program: Program, monotone: bool = False):
+    def __init__(self, program: Program):
         self.program = program
-        self.monotone = monotone
         self.index = AtomIndex()
         self.joiner = _Joiner(self.index)
         #: atoms that hold in EVERY stable model (deterministic closure);
@@ -249,11 +222,6 @@ class Grounder:
         #: the simplification clingo's grounder performs
         self.certain: Set[Atom] = set()
         self._certain_sig_count: Dict[Signature, int] = defaultdict(int)
-        self._prepared = False
-        #: phase-1 seed map, kept as an attribute so :meth:`add_facts`
-        #: can resume the fixpoint after :meth:`prepare`
-        self._by_sig: Dict[Signature, List[Tuple[Rule, object]]] = defaultdict(list)
-        self._negfree: Dict[int, bool] = {}
 
     def _mark_certain(self, atom: Atom) -> bool:
         if atom in self.certain:
@@ -299,17 +267,13 @@ class Grounder:
                 if self.index.add(atom):
                     delta.append(atom)
 
-    def prepare(self) -> None:
-        """Naive-with-delta fixpoint over the possible-atom set
-        (idempotent).
+    def _possible_fixpoint(self) -> None:
+        """Naive-with-delta fixpoint over the possible-atom set.
 
         Rules are re-instantiated each pass but joins are seeded from the
         delta (atoms new since the previous pass) on one body literal,
         which gives semi-naive behaviour for the common case.
         """
-        if self._prepared:
-            return
-        self._prepared = True
         rules = [r for r in self.program.rules if r.head is not None]
         #: normal rules with no negative literals (certainty propagates)
         self._negfree = {
@@ -338,7 +302,7 @@ class Grounder:
         # fired, and incremental seeding keeps this linear (a full
         # re-join per delta atom is quadratic in e.g. the number of
         # splice candidates, Figure 7's workload).
-        by_sig = self._by_sig
+        by_sig: Dict[Signature, List[Tuple[Rule, object]]] = defaultdict(list)
         bodied_rules: List[Rule] = []
         for rule in rules:
             pos = [
@@ -361,27 +325,7 @@ class Grounder:
         for rule in bodied_rules:
             for binding in self.joiner.join(rule.body, {}):
                 self._derive(rule, binding, delta)
-        self._close(delta)
-
-    def add_facts(self, atoms: Iterable[Atom]) -> int:
-        """Resume the possible-atom fixpoint with externally supplied
-        ground facts (monotone mode): the atoms become *possible* —
-        never certain — and anything they newly enable is derived via
-        the same delta-driven closure.  Returns how many were new."""
-        self.prepare()
-        delta: List[Atom] = []
-        for a in atoms:
-            if not a.is_ground:
-                raise GroundingError(f"non-ground volatile fact {a!r}")
-            if self.index.add(a):
-                delta.append(a)
-        added = len(delta)
-        self._close(delta)
-        return added
-
-    def _close(self, delta: List[Atom]) -> None:
-        """Delta-driven closure of the possible-atom fixpoint."""
-        by_sig = self._by_sig
+        # Delta-driven closure.
         while delta:
             atom = delta.pop()
             for rule, lit_index in by_sig.get(atom.signature, ()):  # noqa: B020
@@ -518,13 +462,6 @@ class Grounder:
         heads were all emitted as facts already)."""
         if not isinstance(rule.head, Atom):
             return False
-        if self.monotone and any(
-            isinstance(e, Literal) and not e.positive for e in rule.body
-        ):
-            # "no possible atom of the negated signature" can be
-            # invalidated by a later add_facts — never skip these here
-            # (their heads were also never marked certain).
-            return False
         for e in rule.body:
             if not isinstance(e, Literal):
                 continue
@@ -540,50 +477,13 @@ class Grounder:
         return True
 
     def ground(self) -> GroundProgram:
-        self.prepare()
-        if not self.monotone:
-            # only sound against a FINAL possible set: a later add_facts
-            # could make a "certainly absent" negated atom possible
-            self._certain_fixpoint()
-        return self._assemble()
-
-    def ground_with(
-        self,
-        volatile_facts: Sequence[Atom] = (),
-        volatile_rules: Sequence[Rule] = (),
-    ) -> GroundProgram:
-        """Monotone re-ground: extend the possible-atom index with the
-        volatile facts, then instantiate base + volatile.
-
-        Volatile rules must be head-less (integrity constraints) — a
-        head-bearing volatile rule would have to participate in the
-        phase-1 fixpoint, which is built from the base program only.
-        """
-        if not self.monotone:
-            raise GroundingError("ground_with requires monotone mode")
-        for rule in volatile_rules:
-            if rule.head is not None:
-                raise GroundingError(
-                    f"volatile rules must be head-less constraints: {rule!r}"
-                )
-        self.add_facts(volatile_facts)
-        return self._assemble(volatile_facts, volatile_rules)
-
-    def _assemble(
-        self,
-        extra_facts: Sequence[Atom] = (),
-        extra_rules: Sequence[Rule] = (),
-    ) -> GroundProgram:
+        self._possible_fixpoint()
+        self._certain_fixpoint()
         out = GroundProgram()
         # every certain atom is emitted once, as a fact
         for atom in self.certain:
             out.rules.append(GroundRule(atom))
-        emitted_extra: Set[Atom] = set()
-        for fact in extra_facts:
-            if fact not in self.certain and fact not in emitted_extra:
-                emitted_extra.add(fact)
-                out.rules.append(GroundRule(fact))
-        for rule in list(self.program.rules) + list(extra_rules):
+        for rule in self.program.rules:
             if (
                 isinstance(rule.head, Atom)
                 and not rule.body

@@ -50,14 +50,7 @@ from .index import IndexFormatError, ShardedIndex
 from .mirror import MirrorGroup
 from .server import BuildCacheHTTPServer, start_server
 from .signing import SignatureError
-from .summary import (
-    BloomSummary,
-    ShardSummary,
-    SortedHashSummary,
-    SummaryFormatError,
-    build_summary,
-    summary_from_document,
-)
+from .summary import SortedHashSummary, SummaryFormatError, summary_from_document
 
 __all__ = [
     "BuildCache",
@@ -65,11 +58,8 @@ __all__ = [
     "CachedPayload",
     "ShardedIndex",
     "IndexFormatError",
-    "ShardSummary",
     "SortedHashSummary",
-    "BloomSummary",
     "SummaryFormatError",
-    "build_summary",
     "summary_from_document",
     "BackendError",
     "MissingBlobError",

@@ -28,22 +28,19 @@ every shard of every mirror.
   consumers (``MirrorGroup``, :meth:`ShardedIndex.refresh`) never
   re-walk it, and a changed mirror reloads only the shards whose
   digests moved.
-* ``index.sum.json`` — a per-shard **summary** sidecar (sorted-hash
-  table by default, optionally a Bloom filter; see
-  :mod:`repro.buildcache.summary`) written atomically alongside
-  ``index.json`` and stamped with the manifest digest.  Negative
-  lookups are answered from the summary in O(1) without loading any
-  shard; with the exact (sorted, full-hash) kind the whole spec-hash
-  set enumerates from the summary alone, so a mirror union never
-  parses a shard.  A summary whose digest does not match the manifest
-  (a crash between the two writes, or a foreign writer) is ignored —
+* ``index.sum.json`` — a per-shard **summary** sidecar (the exact
+  sorted table of each shard's spec hashes; see
+  :mod:`repro.buildcache.summary`) written atomically before
+  ``index.json``, which records the sha256 of the sidecar's bytes.
+  Negative lookups are answered from the summary in O(1) without
+  loading any shard, and the whole spec-hash set enumerates from the
+  summary alone, so a mirror union never parses a shard.  A sidecar
+  whose bytes do not hash to the manifest's record (a crash between
+  the two writes, a foreign writer, a flipped byte) is ignored —
   summaries make lookups faster, never wrong.
 
 v1 monolithic and v2 digest-less manifests are read transparently and
-migrate to v3 on the next ``save``.  ``REPRO_BUILDCACHE_WRITE_V2=1``
-forces ``save`` to emit digest-less v2 (and drop the summary sidecar);
-``REPRO_BUILDCACHE_WRITE_V1=1`` still emits the original monolith —
-the CI compat legs run the suite under both knobs.
+migrate to v3 on the next ``save``; ``save`` only ever writes v3.
 
 Entries in a shard are keyed by *their own* hash prefix: spec documents
 under the spec's ``dag_hash``, build-spec provenance documents under the
@@ -65,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -79,13 +75,7 @@ from .backend import (
     StorageBackend,
     TransientBackendError,
 )
-from .summary import (
-    ShardSummary,
-    SummaryFormatError,
-    build_summary,
-    summary_from_document,
-    summary_kind_from_env,
-)
+from .summary import SortedHashSummary, SummaryFormatError, summary_from_document
 
 __all__ = [
     "ShardedIndex",
@@ -182,13 +172,16 @@ class ShardedIndex:
         self._shard_digests: Dict[str, str] = {}
         #: the v3 manifest digest (None for v1/v2 indexes)
         self._manifest_digest: Optional[str] = None
+        #: sha256 of the summary sidecar's bytes, as the v3 manifest
+        #: records it (None = no sidecar to trust)
+        self._summary_sha: Optional[str] = None
         #: shard prefixes that exist on disk (from the manifest)
         self._on_disk: Set[str] = set()
         #: True once every on-disk shard has been parsed
         self._fully_loaded = False
-        #: parsed summary sidecar: None = not loaded yet, {} = absent/
-        #: stale/disabled, else prefix -> ShardSummary
-        self._summaries: Optional[Dict[str, ShardSummary]] = None
+        #: parsed summary sidecar: None = not loaded yet, {} = absent or
+        #: unverified, else prefix -> SortedHashSummary
+        self._summaries: Optional[Dict[str, SortedHashSummary]] = None
         #: monotonic in-memory change counter: bumped by every push,
         #: save, and refresh so :meth:`state_token` changes whenever a
         #: cached merged view over this index could be stale
@@ -346,6 +339,7 @@ class ShardedIndex:
                     self._shard_digests[prefix] = str(digest)
             if data.get("version") == INDEX_VERSION:
                 self._manifest_digest = data.get("digest") or None
+                self._summary_sha = data.get("summary_sha256") or None
             self._fully_loaded = not self._on_disk
             sp.set(shards=len(self._on_disk), specs=sum(self._manifest_counts.values()))
 
@@ -423,6 +417,7 @@ class ShardedIndex:
                     f"(expected 1, 2, or {INDEX_VERSION})"
                 )
             new_digest = data.get("digest") if version == INDEX_VERSION else None
+            # same manifest digest -> same shards -> byte-identical sidecar
             if new_digest is not None and new_digest == self._manifest_digest:
                 return 0  # provably unchanged: zero shard work
             shards = self._parse_manifest_shards(data, self.manifest_path)
@@ -462,6 +457,9 @@ class ShardedIndex:
                 self._manifest_counts = new_counts
                 self._shard_digests = new_digests
                 self._manifest_digest = new_digest
+                self._summary_sha = (
+                    data.get("summary_sha256") if version == INDEX_VERSION else None
+                ) or None
                 self._summaries = None  # sidecar re-validated lazily
                 self._fully_loaded = all(
                     p in self._shards and self._shards[p].loaded
@@ -524,45 +522,45 @@ class ShardedIndex:
     # ------------------------------------------------------------------
     # summary sidecar
     # ------------------------------------------------------------------
-    def _load_summaries(self) -> Dict[str, ShardSummary]:
+    def _load_summaries(self) -> Dict[str, SortedHashSummary]:
         """The parsed summary sidecar, or ``{}`` when unusable.
 
-        Unusable covers: no v3 manifest digest to validate against, the
-        sidecar is absent, its digest does not match the manifest (a
-        crash between the sidecar and manifest writes, or a foreign
-        writer), or it fails to parse.  All of those degrade to the
-        plain shard-read path — a summary is an accelerator, never an
-        authority the shard documents don't confirm.
+        Unusable covers: the manifest records no sidecar hash (v1/v2),
+        the sidecar is absent, its bytes do not hash to the manifest's
+        record (a crash between the sidecar and manifest writes, a
+        foreign writer, a flipped byte), or it fails to parse.  All of
+        those degrade to the plain shard-read path — a summary is an
+        accelerator, never an authority the manifest does not vouch for.
         """
         with self._lock:
             if self._summaries is not None:
                 return self._summaries
             self._summaries = {}
-            if self._manifest_digest is None:
+            if self._summary_sha is None:
                 return self._summaries
             try:
-                data = json.loads(self.backend.get(SUMMARY_NAME))
+                raw = self.backend.get(SUMMARY_NAME)
             except MissingBlobError:
                 return self._summaries
             except TransientBackendError:
                 raise
-            except (BackendError, json.JSONDecodeError):
+            except BackendError:
                 metrics.inc("buildcache.summary_corrupt")
                 return self._summaries
             with trace.span("buildcache.summary_load", cache=self._desc) as sp:
-                if (
-                    not isinstance(data, dict)
-                    or data.get("digest") != self._manifest_digest
-                ):
-                    metrics.inc("buildcache.summary_stale")
-                    sp.set(stale=True)
-                    return self._summaries
-                parsed: Dict[str, ShardSummary] = {}
+                parsed: Dict[str, SortedHashSummary] = {}
                 try:
-                    for prefix, document in dict(data.get("shards", {})).items():
+                    if hashlib.sha256(raw).hexdigest() != self._summary_sha:
+                        raise SummaryFormatError("sidecar bytes do not match")
+                    data = json.loads(raw)
+                    for prefix, document in dict(data["shards"]).items():
                         parsed[prefix] = summary_from_document(document)
-                except (SummaryFormatError, AttributeError, TypeError):
+                except (
+                    SummaryFormatError, ValueError, KeyError, AttributeError,
+                    TypeError,
+                ):
                     metrics.inc("buildcache.summary_corrupt")
+                    sp.set(corrupt=True)
                     return self._summaries
                 self._summaries = parsed
                 sp.set(shards=len(parsed))
@@ -642,10 +640,10 @@ class ShardedIndex:
         (loaded content and journal overlay entries alike — this is
         what keeps ``len(group)`` exact after a ``push`` that has not
         been ``save_index``-ed) and, for every still-unparsed on-disk
-        shard, that shard's *enumerable* summary.  One non-enumerable
-        shard (Bloom summaries, missing sidecar) means the answer
-        would be a guess, so the caller gets ``None`` and falls back
-        to :meth:`spec_hashes`' full walk.
+        shard, that shard's summary.  One shard without a summary (no
+        trusted sidecar) means the answer would be a guess, so the
+        caller gets ``None`` and falls back to :meth:`spec_hashes`' full
+        walk.
         """
         with self._lock:
             hashes: Set[str] = set()
@@ -659,7 +657,7 @@ class ShardedIndex:
                 if shard is not None and shard.loaded:
                     continue
                 entry = summaries.get(prefix)
-                if entry is None or not entry.enumerable:
+                if entry is None:
                     return None
                 hashes.update(entry.hashes())
             metrics.inc("buildcache.summary_enumerations")
@@ -703,22 +701,6 @@ class ShardedIndex:
                 sp.set(bytes=len(line))
         metrics.inc("buildcache.journal_appends")
 
-    def save(self) -> int:
-        """Fold the journal into shards, write dirty shards atomically,
-        rewrite the summary sidecar and manifest, and truncate the
-        journal.
-
-        Returns the number of shard files written.  The
-        ``REPRO_BUILDCACHE_WRITE_V2`` env knob emits the digest-less v2
-        manifest (no summary sidecar) and ``REPRO_BUILDCACHE_WRITE_V1``
-        the original monolith — the CI compat legs.
-        """
-        if os.environ.get("REPRO_BUILDCACHE_WRITE_V1"):
-            return self._save_v1()
-        if os.environ.get("REPRO_BUILDCACHE_WRITE_V2"):
-            return self._save_v2()
-        return self._save_v3()
-
     def _write_dirty_shards(self) -> int:
         """Fold + write every dirty shard; returns shards written and
         records fresh content digests for them."""
@@ -742,7 +724,13 @@ class ShardedIndex:
             metrics.inc("buildcache.shard_saves")
         return written
 
-    def _save_v3(self) -> int:
+    def save(self) -> int:
+        """Fold the journal into shards, write dirty shards atomically,
+        rewrite the summary sidecar and then the manifest (which records
+        the sidecar's sha256), and truncate the journal.
+
+        Returns the number of shard files written.
+        """
         with self._lock:
             previous_summaries = self._load_summaries()
             written = self._write_dirty_shards()
@@ -761,49 +749,42 @@ class ShardedIndex:
                 self._shard_digests[prefix] = hashlib.sha256(payload).hexdigest()
                 self._manifest_counts[prefix] = len(shard.specs)
 
-            manifest_digest = self._digest_of(self._shard_digests)
-            kind = summary_kind_from_env()
-            if kind is None:
-                self.backend.delete(SUMMARY_NAME)
-                self._summaries = {}
-            else:
-                summaries: Dict[str, ShardSummary] = {}
-                for prefix in sorted(self._on_disk):
-                    shard = self._shards.get(prefix)
-                    if shard is not None and shard.loaded:
-                        summaries[prefix] = build_summary(shard.specs, kind)
-                        continue
-                    # clean, unparsed shard: its digest is unchanged, so
-                    # the previous sidecar entry (same kind) still holds
-                    previous = previous_summaries.get(prefix)
-                    if previous is not None and previous.kind == kind:
-                        summaries[prefix] = previous
-                        continue
-                    shard = self._shards.setdefault(prefix, _Shard(prefix))
-                    self._load_shard(shard)
-                    summaries[prefix] = build_summary(shard.specs, kind)
-                with trace.span(
-                    "buildcache.summary_save", cache=self._desc
-                ) as sp:
-                    sidecar = {
-                        "version": INDEX_VERSION,
-                        "digest": manifest_digest,
-                        "kind": kind,
-                        "shards": {
-                            prefix: summary.to_document()
-                            for prefix, summary in summaries.items()
-                        },
-                    }
-                    payload = _canonical(sidecar)
-                    self.backend.put(SUMMARY_NAME, payload)
-                    sp.set(shards=len(summaries), bytes=len(payload))
-                self._summaries = summaries
-                metrics.inc("buildcache.summary_saves")
+            summaries: Dict[str, SortedHashSummary] = {}
+            for prefix in sorted(self._on_disk):
+                shard = self._shards.get(prefix)
+                if shard is not None and shard.loaded:
+                    summaries[prefix] = SortedHashSummary(shard.specs)
+                    continue
+                # clean, unparsed shard: its digest is unchanged, so the
+                # previous sidecar entry still holds
+                previous = previous_summaries.get(prefix)
+                if previous is not None:
+                    summaries[prefix] = previous
+                    continue
+                shard = self._shards.setdefault(prefix, _Shard(prefix))
+                self._load_shard(shard)
+                summaries[prefix] = SortedHashSummary(shard.specs)
+            with trace.span("buildcache.summary_save", cache=self._desc) as sp:
+                sidecar = {
+                    "version": INDEX_VERSION,
+                    "shards": {
+                        prefix: summary.to_document()
+                        for prefix, summary in summaries.items()
+                    },
+                }
+                payload = _canonical(sidecar)
+                self.backend.put(SUMMARY_NAME, payload)
+                sp.set(shards=len(summaries), bytes=len(payload))
+            self._summaries = summaries
+            self._summary_sha = hashlib.sha256(payload).hexdigest()
+            metrics.inc("buildcache.summary_saves")
 
+            manifest_digest = self._digest_of(self._shard_digests)
             manifest = {
                 "version": INDEX_VERSION,
                 "shard_width": SHARD_WIDTH,
                 "digest": manifest_digest,
+                "summary_sha256": self._summary_sha,
                 "shards": {
                     prefix: {
                         "specs": self._manifest_counts.get(prefix, 0),
@@ -824,55 +805,6 @@ class ShardedIndex:
             f"{prefix}:{digest}" for prefix, digest in sorted(shard_digests.items())
         )
         return hashlib.sha256(lines.encode()).hexdigest()
-
-    def _save_v2(self) -> int:
-        """Write the digest-less v2 manifest (env-gated compat path for
-        readers that predate format v3; drops the summary sidecar)."""
-        with self._lock:
-            written = self._write_dirty_shards()
-            manifest = {
-                "version": 2,
-                "shard_width": SHARD_WIDTH,
-                "shards": {
-                    prefix: {"specs": self._manifest_counts.get(prefix, 0)}
-                    for prefix in sorted(self._on_disk)
-                },
-            }
-            self.backend.put(INDEX_NAME, _canonical(manifest))
-            self.backend.delete(SUMMARY_NAME)
-            # digests were computed as a side effect of writing; a v2
-            # manifest must not advertise v3 state
-            self._shard_digests.clear()
-            self._manifest_digest = None
-            self._summaries = {}
-            self._revision += 1
-            self._truncate_journal()
-            return written
-
-    def _save_v1(self) -> int:
-        """Write the legacy monolithic document (env-gated compat path)."""
-        self.load_all()
-        with self._lock:
-            document = {"version": 1, "specs": {}, "build_specs": {},
-                        "external_prefixes": {}}
-            for shard in self._shards.values():
-                for table in _TABLES:
-                    document[table].update(shard.table(table))
-            self.backend.put(INDEX_NAME, _canonical(document))
-            self.backend.delete(SUMMARY_NAME)
-            # the monolith subsumes the journal; shard files, if any,
-            # are ignored by the v1 read path and rewritten on the next
-            # v3 save (every shard stays marked dirty)
-            for shard in self._shards.values():
-                shard.dirty = True
-            self._on_disk.clear()
-            self._manifest_counts.clear()
-            self._shard_digests.clear()
-            self._manifest_digest = None
-            self._summaries = {}
-            self._revision += 1
-            self._truncate_journal()
-            return 1
 
     def _truncate_journal(self) -> None:
         self.backend.delete(JOURNAL_NAME)

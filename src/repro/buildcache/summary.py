@@ -9,55 +9,26 @@ path.  Guix/Nix substitute servers answer the same question from a
 locally cached narinfo/summary before any remote round-trip; this
 module is that summary for the sharded index.
 
-A summary is a compact, self-describing membership structure over one
-shard's spec hashes.  Two kinds ship:
-
-* :class:`SortedHashSummary` — the sorted-hash table.  At full hash
-  length it is *exact*: membership has no false positives and the
-  summary can enumerate its hashes, which lets a ``MirrorGroup`` build
-  its merged union view without parsing a single shard document.  A
-  truncated ``prefix_len`` trades exactness (prefix collisions become
-  false positives) for size.
-* :class:`BloomSummary` — a classic Bloom filter with tunable bits per
-  key and hash count.  Much smaller, never enumerable, and a false
-  positive simply falls through to the authoritative shard read — a
-  summary can make a lookup *faster*, never *wrong*.
-
-Both directions of error matter differently: a false **positive** costs
-one shard load (counted as ``buildcache.summary_false_positives``); a
-false **negative** would silently hide a cached spec, so both kinds are
-constructed to make false negatives structurally impossible (the
-property test in ``tests/buildcache/test_summary.py`` hammers this).
-
-Selection knobs (read by :meth:`build_summary` callers, i.e. the index
-``save`` path):
-
-* ``REPRO_BUILDCACHE_SUMMARY`` — ``sorted`` (default), ``bloom``, or
-  ``off`` (v3 manifests without a summary file).
-* ``REPRO_BUILDCACHE_SUMMARY_BITS`` — Bloom bits per key (default 10,
-  ~1% false positives at the default 4 hash functions).
-* ``REPRO_BUILDCACHE_SUMMARY_HASHES`` — Bloom hash count (default 4).
-* ``REPRO_BUILDCACHE_SUMMARY_PREFIX`` — sorted-table prefix length in
-  hex chars (default 0 = full hashes, exact + enumerable).
+A summary is the sorted table of one shard's full spec hashes.  It is
+*exact*: membership has no false positives or false negatives, and the
+summary enumerates its hashes, which lets a ``MirrorGroup`` build its
+merged union view without parsing a single shard document.  The
+no-false-negative half is the one that matters most — a false negative
+would silently hide a cached spec — and the property test in
+``tests/buildcache/test_summary.py`` hammers it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
 from .backend import BuildCacheError
 
 __all__ = [
     "SummaryFormatError",
-    "ShardSummary",
     "SortedHashSummary",
-    "BloomSummary",
-    "build_summary",
     "summary_from_document",
-    "summary_kind_from_env",
 ]
 
 
@@ -65,217 +36,37 @@ class SummaryFormatError(BuildCacheError):
     """Raised for corrupt or unsupported summary documents."""
 
 
-class ShardSummary:
-    """Membership summary over one shard's spec hashes.
+class SortedHashSummary:
+    """A sorted table of one shard's full spec hashes."""
 
-    The contract every implementation must keep: :meth:`contains` may
-    return ``True`` for an absent hash (a false positive, resolved by
-    the shard read it falls through to) but must never return ``False``
-    for a present one.
-    """
-
-    kind: str = "abstract"
-    #: can :meth:`hashes` reproduce the exact hash set?
-    enumerable: bool = False
-
-    def __init__(self, count: int = 0):
-        self.count = int(count)
+    def __init__(self, hashes: Iterable[str]):
+        self._table: List[str] = sorted(set(hashes))
 
     def contains(self, dag_hash: str) -> bool:
-        raise NotImplementedError
+        i = bisect_left(self._table, dag_hash)
+        return i < len(self._table) and self._table[i] == dag_hash
 
     def hashes(self) -> List[str]:
-        """The exact hash set (only when ``enumerable``)."""
-        raise SummaryFormatError(
-            f"{self.kind} summaries cannot enumerate their hashes"
-        )
-
-    def to_document(self) -> dict:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} count={self.count}>"
-
-
-class SortedHashSummary(ShardSummary):
-    """A sorted table of (possibly truncated) spec hashes.
-
-    ``prefix_len=0`` stores full hashes: exact membership and
-    enumeration.  A positive ``prefix_len`` stores that many leading
-    hex chars per hash; lookups match by prefix (collisions are false
-    positives) and enumeration is unavailable.
-    """
-
-    kind = "sorted"
-
-    def __init__(self, hashes: Iterable[str], prefix_len: int = 0):
-        self.prefix_len = int(prefix_len)
-        if self.prefix_len > 0:
-            table = {h[: self.prefix_len] for h in hashes}
-            self.enumerable = False
-        else:
-            table = set(hashes)
-            self.enumerable = True
-        self._table: List[str] = sorted(table)
-        # count reflects table entries, not source hashes: truncation
-        # can merge colliding prefixes
-        super().__init__(len(self._table))
-
-    def contains(self, dag_hash: str) -> bool:
-        key = dag_hash[: self.prefix_len] if self.prefix_len else dag_hash
-        i = bisect_left(self._table, key)
-        return i < len(self._table) and self._table[i] == key
-
-    def hashes(self) -> List[str]:
-        if not self.enumerable:
-            return super().hashes()
         return list(self._table)
 
     def to_document(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prefix_len": self.prefix_len,
-            "hashes": self._table,
-        }
+        return {"hashes": self._table}
 
-    @classmethod
-    def from_document(cls, document: dict) -> "SortedHashSummary":
-        # the sidecar is machine-written within a versioned format, so a
-        # key this reader does not know is corruption (or version skew a
-        # bumped INDEX_VERSION should have caught), not extensibility —
-        # a lenient .get() here would let a corrupted key name silently
-        # fall back to a default that may equal the real value
-        unknown = set(document) - {"kind", "prefix_len", "hashes"}
-        if unknown:
-            raise SummaryFormatError(
-                f"sorted summary: unknown key(s) {sorted(unknown)}"
-            )
-        hashes = document.get("hashes")
-        if not isinstance(hashes, list):
-            raise SummaryFormatError("sorted summary: 'hashes' is not a list")
-        prefix_len = int(document.get("prefix_len", 0))
-        if prefix_len:
-            # already truncated on disk: rebuild without re-truncating
-            summary = cls.__new__(cls)
-            ShardSummary.__init__(summary, len(hashes))
-            summary.prefix_len = prefix_len
-            summary.enumerable = False
-            summary._table = sorted(str(h) for h in hashes)
-            return summary
-        return cls(str(h) for h in hashes)
+    def __repr__(self) -> str:
+        return f"<SortedHashSummary count={len(self._table)}>"
 
 
-class BloomSummary(ShardSummary):
-    """A Bloom filter over spec hashes: ``m`` bits, ``k`` hash probes.
-
-    Probe indices come from 4-byte slices of ``sha256(dag_hash)`` — a
-    stable derivation (no ``PYTHONHASHSEED`` dependence) so a summary
-    written by one process answers correctly in every other.
-    """
-
-    kind = "bloom"
-    MAX_HASHES = 8  # sha256 yields eight independent 4-byte slices
-
-    def __init__(
-        self,
-        hashes: Iterable[str] = (),
-        bits_per_key: int = 10,
-        num_hashes: int = 4,
-        _bits: Optional[int] = None,
-        _m: Optional[int] = None,
-        _count: Optional[int] = None,
-    ):
-        items = list(hashes)
-        self.num_hashes = max(1, min(int(num_hashes), self.MAX_HASHES))
-        if _m is not None:
-            self.m = max(8, int(_m))
-            self._bits = int(_bits or 0)
-            super().__init__(_count or 0)
-            return
-        self.m = max(8, int(bits_per_key) * max(len(items), 1))
-        self._bits = 0
-        super().__init__(len(items))
-        for h in items:
-            for index in self._probes(h):
-                self._bits |= 1 << index
-
-    def _probes(self, dag_hash: str) -> Iterable[int]:
-        digest = hashlib.sha256(dag_hash.encode()).digest()
-        for i in range(self.num_hashes):
-            chunk = digest[4 * i: 4 * i + 4]
-            yield int.from_bytes(chunk, "big") % self.m
-
-    def contains(self, dag_hash: str) -> bool:
-        return all((self._bits >> index) & 1 for index in self._probes(dag_hash))
-
-    def to_document(self) -> dict:
-        width = (self.m + 7) // 8
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "k": self.num_hashes,
-            "count": self.count,
-            "bits": self._bits.to_bytes(width, "big").hex(),
-        }
-
-    @classmethod
-    def from_document(cls, document: dict) -> "BloomSummary":
-        unknown = set(document) - {"kind", "m", "k", "count", "bits"}
-        if unknown:
-            raise SummaryFormatError(
-                f"bloom summary: unknown key(s) {sorted(unknown)}"
-            )
-        try:
-            bits = int(str(document["bits"]), 16)
-            m = int(document["m"])
-            k = int(document["k"])
-            count = int(document.get("count", 0))
-        except (KeyError, ValueError) as e:
-            raise SummaryFormatError(f"bloom summary: bad document: {e}") from e
-        return cls(num_hashes=k, _bits=bits, _m=m, _count=count)
-
-
-_KINDS = {
-    SortedHashSummary.kind: SortedHashSummary,
-    BloomSummary.kind: BloomSummary,
-}
-
-
-def summary_kind_from_env() -> Optional[str]:
-    """The summary kind the save path should emit (``None`` = off)."""
-    kind = os.environ.get("REPRO_BUILDCACHE_SUMMARY", "sorted").strip().lower()
-    if kind in ("off", "none", "0", ""):
-        return None
-    if kind not in _KINDS:
-        raise SummaryFormatError(
-            f"unknown REPRO_BUILDCACHE_SUMMARY kind {kind!r} "
-            f"(expected one of {sorted(_KINDS)} or 'off')"
-        )
-    return kind
-
-
-def build_summary(hashes: Iterable[str], kind: Optional[str] = None) -> ShardSummary:
-    """Build a summary of ``kind`` (default: the env-selected kind)
-    over a shard's spec hashes, honouring the tuning env knobs."""
-    kind = kind or summary_kind_from_env() or SortedHashSummary.kind
-    if kind == BloomSummary.kind:
-        return BloomSummary(
-            hashes,
-            bits_per_key=int(os.environ.get("REPRO_BUILDCACHE_SUMMARY_BITS", "10")),
-            num_hashes=int(os.environ.get("REPRO_BUILDCACHE_SUMMARY_HASHES", "4")),
-        )
-    return SortedHashSummary(
-        hashes,
-        prefix_len=int(os.environ.get("REPRO_BUILDCACHE_SUMMARY_PREFIX", "0")),
-    )
-
-
-def summary_from_document(document: dict) -> ShardSummary:
+def summary_from_document(document: dict) -> SortedHashSummary:
     """Deserialize one shard's summary document."""
     if not isinstance(document, dict):
         raise SummaryFormatError("summary document is not an object")
-    kind = document.get("kind")
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise SummaryFormatError(f"unknown summary kind {kind!r}")
-    return cls.from_document(document)
+    # the sidecar is machine-written within a versioned format, so a key
+    # this reader does not know is corruption (or version skew a bumped
+    # INDEX_VERSION should have caught), not extensibility
+    unknown = set(document) - {"hashes"}
+    if unknown:
+        raise SummaryFormatError(f"summary: unknown key(s) {sorted(unknown)}")
+    hashes = document.get("hashes")
+    if not isinstance(hashes, list):
+        raise SummaryFormatError("summary: 'hashes' is not a list")
+    return SortedHashSummary(str(h) for h in hashes)

@@ -11,14 +11,12 @@ Configuration axes mirror the paper's experiments (Section 6.1.4):
 from __future__ import annotations
 
 import logging
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..asp.api import Control, Model
-from ..asp.grounder import Grounder
 from ..asp.parser import parse_program
-from ..asp.syntax import Atom, Program, Rule
+from ..asp.syntax import Atom, Program
 from ..obs import metrics, trace
 from ..package.repository import Repository
 from ..spec import Spec, parse_one
@@ -155,7 +153,6 @@ class Concretizer:
         default_os: str = "centos8",
         default_target: str = "skylake",
         ground_cache: Optional[groundcache.GroundProgramCache] = None,
-        incremental: Optional[bool] = None,
         reuse_digest: Optional[str] = None,
     ):
         if splicing and encoding != NEW_ENCODING:
@@ -174,19 +171,11 @@ class Concretizer:
             for node in spec.traverse():
                 self._by_hash.setdefault(node.dag_hash(), node)
         #: exact-key ground-program cache; default resolves from the
-        #: environment (REPRO_GROUND_CACHE_DIR / REPRO_GROUND_CACHE) and
-        #: is OFF otherwise — fresh-solve timings must stay honest
+        #: environment (REPRO_GROUND_CACHE_DIR) and is OFF otherwise —
+        #: fresh-solve timings must stay honest
         self.ground_cache = (
             ground_cache if ground_cache is not None else groundcache.default_cache()
         )
-        if incremental is None:
-            incremental = (
-                os.environ.get(groundcache.ENV_INCREMENTAL, "").lower()
-                in ("1", "true", "yes", "on")
-            )
-        #: opt-in: reuse a shared monotone ground state and only ground
-        #: the per-solve delta (request + reuse facts)
-        self.incremental = incremental
         #: caller-provided O(1) reuse-set digest (e.g. a buildcache
         #: index's content_digest()); falls back to hashing _by_hash keys
         self._reuse_digest = reuse_digest
@@ -264,10 +253,8 @@ class Concretizer:
             names.append("splice.lp")
         return names
 
-    def _solve_key(
-        self, roots: Sequence[Spec], forbidden: Sequence[str]
-    ) -> Tuple[str, str, str]:
-        """(base-state key..., exact solve key) digests.
+    def _solve_key(self, roots: Sequence[Spec], forbidden: Sequence[str]) -> str:
+        """The exact solve key the ground cache is addressed by.
 
         The repo digest is recomputed per solve — repositories mutate
         (replica injection, provider preferences) — but it folds cached
@@ -282,52 +269,31 @@ class Concretizer:
             roots, forbidden, self.default_os, self.default_target,
             self.encoding, self.splicing,
         )
-        return logic, repo, groundcache.cache_key(
-            logic, repo, self._reuse_digest, request
-        )
+        return groundcache.cache_key(logic, repo, self._reuse_digest, request)
 
     # ------------------------------------------------------------------
-    # the three grounding paths
+    # grounding
     # ------------------------------------------------------------------
     def _prepare_control(
         self, roots: Sequence[Spec], forbidden: Sequence[str]
     ) -> Tuple[Control, int, float]:
         """Produce a ground, solvable :class:`Control` for the request.
 
-        Three paths, fastest first:
-
-        1. **exact ground-cache hit** — the whole ground program is
-           memoized; no setup, no grounding (neither span even opens);
-        2. **incremental** — a shared monotone grounder holds the base
-           (repo + logic) fixpoint; only the volatile delta (request,
-           reuse facts, forced hashes) is ground (``asp.ground_delta``);
-        3. **classic** — full setup + ground, exactly the historical
-           path; the result feeds the exact cache when one is enabled.
+        An exact ground-cache hit skips setup and grounding (neither
+        span even opens); otherwise the classic path does full setup +
+        ground and feeds the cache when one is enabled.
 
         Returns ``(control, reusable_nodes, setup_seconds)``.
         """
         key = None
-        if self.ground_cache is not None or self.incremental:
-            logic_d, repo_d, key = self._solve_key(roots, forbidden)
         if self.ground_cache is not None:
+            key = self._solve_key(roots, forbidden)
             entry = self.ground_cache.get(key)
             if entry is not None:
                 logger.info("ground cache hit for %s", [str(r) for r in roots])
                 control = Control()
                 control.use_ground_program(entry.ground_program)
                 return control, int(entry.meta.get("reusable_nodes", 0)), 0.0
-        if self.incremental:
-            return self._prepare_incremental(
-                roots, forbidden, (logic_d, repo_d), key
-            )
-        return self._prepare_classic(roots, forbidden, key)
-
-    def _prepare_classic(
-        self,
-        roots: Sequence[Spec],
-        forbidden: Sequence[str],
-        key: Optional[str],
-    ) -> Tuple[Control, int, float]:
         with trace.span("concretize.setup") as setup_span:
             control = Control()
             encoder = Encoder(self.repo)
@@ -358,77 +324,11 @@ class Concretizer:
             setup_span.set(reusable_nodes=reuse.node_count)
 
         control.ground()  # explicit, so the program can be cached pre-solve
-        if self.ground_cache is not None and key is not None:
+        if key is not None:
             self.ground_cache.put(
                 key,
                 control._ground_program,
                 {"reusable_nodes": reuse.node_count},
-            )
-        return control, reuse.node_count, setup_span.duration
-
-    def _build_incremental_state(self) -> groundcache.IncrementalGroundState:
-        """Ground the request-independent base once: repository encoding
-        (+ splice rules) + logic programs, through the monotone
-        possible-atom fixpoint."""
-        program = Program()
-        encoder = Encoder(self.repo)
-        encoder.encode_repository()
-        splice_rules: List[Rule] = []
-        if self.splicing:
-            compiler = CanSpliceCompiler(self.repo, encoder)
-            # consume before into_program: compilation may register
-            # conditions/vsets on the encoder
-            splice_rules = list(compiler.compile_all())
-        encoder.into_program(program)
-        for rule in splice_rules:
-            program.add_rule(rule)
-        for name in self._logic_names():
-            program.extend(_load_logic(name))
-        grounder = Grounder(program, monotone=True)
-        grounder.prepare()
-        return groundcache.IncrementalGroundState(encoder, grounder)
-
-    def _prepare_incremental(
-        self,
-        roots: Sequence[Spec],
-        forbidden: Sequence[str],
-        state_key_parts: Tuple[str, str],
-        key: Optional[str],
-    ) -> Tuple[Control, int, float]:
-        logic_d, repo_d = state_key_parts
-        state = groundcache.incremental_state(
-            (logic_d, repo_d, self.encoding, self.splicing),
-            self._build_incremental_state,
-        )
-        with state.lock:
-            with trace.span("concretize.setup") as setup_span:
-                encoder = state.encoder
-                encoder.begin_request()
-                try:
-                    encoder.encode_request(
-                        roots,
-                        forbidden=forbidden,
-                        default_os=self.default_os,
-                        default_target=self.default_target,
-                    )
-                finally:
-                    volatile_facts, volatile_rules = encoder.take_request()
-                volatile_facts.extend(self._hash_constraint_facts(roots))
-                reuse, reuse_facts = self._reuse_encoding()
-                volatile_facts.extend(reuse_facts)
-                setup_span.set(reusable_nodes=reuse.node_count)
-            with trace.span("asp.ground_delta") as delta_span:
-                ground_program = state.grounder.ground_with(
-                    volatile_facts, volatile_rules
-                )
-                delta_span.set(**ground_program.stats())
-            state.solves += 1
-        metrics.inc("concretize.incremental_resolves")
-        control = Control()
-        control.use_ground_program(ground_program)
-        if self.ground_cache is not None and key is not None:
-            self.ground_cache.put(
-                key, ground_program, {"reusable_nodes": reuse.node_count}
             )
         return control, reuse.node_count, setup_span.duration
 

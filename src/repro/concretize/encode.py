@@ -66,10 +66,6 @@ class Encoder:
         self.rules: List[Rule] = []
         self._vset_counter = 0
         self._vset_ids: Dict[Tuple[str, str], str] = {}
-        #: version_in_set facts per set id, so rolled-back requests that
-        #: touch a previously registered set can re-emit its members
-        self._vset_facts: Dict[str, List[Atom]] = {}
-        self._touched_vsets: Optional[set] = None
         self._condition_counter = 0
 
     # ------------------------------------------------------------------
@@ -81,21 +77,14 @@ class Encoder:
         key = (package, str(versions))
         cached = self._vset_ids.get(key)
         if cached is not None:
-            if self._touched_vsets is not None:
-                self._touched_vsets.add(cached)
             return cached
         set_id = f"vset-{package}-{self._vset_counter}"
         self._vset_counter += 1
         self._vset_ids[key] = set_id
         pkg_cls = self.repo.get(package)
-        members: List[Atom] = []
         for declared in pkg_cls.declared_versions():
             if declared.satisfies(versions):
-                members.append(atom("version_in_set", s(set_id), s(declared)))
-        self.facts.extend(members)
-        self._vset_facts[set_id] = members
-        if self._touched_vsets is not None:
-            self._touched_vsets.add(set_id)
+                self.facts.append(atom("version_in_set", s(set_id), s(declared)))
         return set_id
 
     def _fresh_condition(self, package: str) -> str:
@@ -421,37 +410,6 @@ class Encoder:
         if spec.target is not None:
             self.facts.append(atom("attr", s("node_target"), node, s(spec.target)))
             self.facts.append(atom("known_target", s(spec.target)))
-
-    # ------------------------------------------------------------------
-    # request snapshots (incremental re-solve)
-    # ------------------------------------------------------------------
-    def begin_request(self) -> None:
-        """Start recording request-only output.
-
-        Used by the incremental concretizer path: one long-lived encoder
-        holds the repository encoding (and, crucially, the monotone
-        vset/condition id registries so ids never collide across
-        solves), while each solve's request is captured and rolled back
-        via :meth:`take_request`.
-        """
-        self._request_mark = (len(self.facts), len(self.rules))
-        self._touched_vsets = set()
-
-    def take_request(self) -> Tuple[List[Atom], List[Rule]]:
-        """Return ``(facts, rules)`` added since :meth:`begin_request`
-        and roll the encoder back.  ``version_in_set`` members of every
-        set the request touched are (re-)included: a set registered by
-        an earlier, already rolled-back request keeps its id but its
-        member facts live nowhere else."""
-        fmark, rmark = self._request_mark
-        facts = self.facts[fmark:]
-        rules = self.rules[rmark:]
-        del self.facts[fmark:]
-        del self.rules[rmark:]
-        for set_id in sorted(self._touched_vsets or ()):
-            facts.extend(self._vset_facts.get(set_id, ()))
-        self._touched_vsets = None
-        return facts, rules
 
     # ------------------------------------------------------------------
     def into_program(self, program: Program) -> None:

@@ -1,28 +1,21 @@
-"""Ground-program caching and incremental re-grounding.
+"""Ground-program caching.
 
 Grounding dominates concretization cost ("Using Answer Set Programming
 for HPC Dependency Solving" measures the same bottleneck in clingo), so
-this module lets repeated solves skip it:
+this module lets an exactly repeated solve skip it: a
+:class:`GroundProgramCache` memoizes whole ground programs keyed on the
+*(logic digest, repo content digest, reuse-set digest, request digest)*
+tuple, in process and on disk (``REPRO_GROUND_CACHE_DIR``).  Disk
+entries are published atomically via :func:`fsync_write` with a
+digest-stamped JSON sidecar that is verified before unpickling;
+anything stale, truncated, or foreign is ignored and counted
+(``concretize.ground_cache_stale``) — the same *accelerate, never lie*
+contract as the buildcache index summaries.
 
-* **Exact-key cache** — a :class:`GroundProgramCache` memoizes whole
-  ground programs keyed on the *(logic digest, repo content digest,
-  reuse-set digest, request digest)* tuple, in process and optionally
-  on disk (``REPRO_GROUND_CACHE_DIR``).  Disk entries are published
-  atomically via :func:`fsync_write` with a digest-stamped JSON sidecar
-  that is verified before unpickling; anything stale, truncated, or
-  foreign is ignored and counted (``concretize.ground_cache_stale``) —
-  the same *accelerate, never lie* contract as the buildcache index
-  summaries.
-* **Incremental base state** — an :class:`IncrementalGroundState` holds
-  a monotone :class:`~repro.asp.grounder.Grounder` over the repository
-  + logic base so per-solve volatile facts (request, reuse set, forced
-  hashes) only pay a delta fixpoint plus re-instantiation, never the
-  full base fixpoint.
-
-Both layers are **off by default**: a fresh solve per ``Concretizer``
-is what the paper's figure benches time, and a silently shared cache
-would corrupt those comparisons.  Opt in per instance or via the
-environment knobs above.
+The cache is **off by default**: a fresh solve per ``Concretizer`` is
+what the paper's figure benches time, and a silently shared cache would
+corrupt those comparisons.  Opt in per instance (``ground_cache=``) or
+by pointing ``REPRO_GROUND_CACHE_DIR`` at a directory.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..buildcache.backend import fsync_write
 from ..obs import metrics
@@ -44,15 +37,11 @@ from ..spec import Spec
 
 __all__ = [
     "CACHE_FORMAT",
-    "ENV_CACHE",
     "ENV_CACHE_DIR",
-    "ENV_INCREMENTAL",
     "GroundCacheEntry",
     "GroundProgramCache",
-    "IncrementalGroundState",
     "cache_key",
     "default_cache",
-    "incremental_state",
     "logic_digest",
     "package_digest",
     "repo_digest",
@@ -67,12 +56,8 @@ logger = logging.getLogger(__name__)
 CACHE_FORMAT = 1
 
 ENV_CACHE_DIR = "REPRO_GROUND_CACHE_DIR"
-ENV_CACHE = "REPRO_GROUND_CACHE"
-ENV_INCREMENTAL = "REPRO_GROUND_INCREMENTAL"
 
 LOGIC_DIR = Path(__file__).parent / "logic"
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 # ----------------------------------------------------------------------
@@ -357,69 +342,22 @@ _CACHES_LOCK = threading.Lock()
 def default_cache() -> Optional[GroundProgramCache]:
     """The environment-configured process cache, or None (default off).
 
-    ``REPRO_GROUND_CACHE_DIR`` enables memory + disk; ``REPRO_GROUND_CACHE=1``
-    enables the in-process layer only.  Instances are shared per
-    directory so separate Concretizers see each other's entries.
+    ``REPRO_GROUND_CACHE_DIR`` enables memory + disk.  Instances are
+    shared per directory so separate Concretizers see each other's
+    entries.
     """
-    directory = os.environ.get(ENV_CACHE_DIR) or None
-    if directory is None and os.environ.get(ENV_CACHE, "").lower() not in _TRUTHY:
+    directory = os.environ.get(ENV_CACHE_DIR)
+    if not directory:
         return None
-    registry_key = directory or ""
     with _CACHES_LOCK:
-        cache = _CACHES.get(registry_key)
+        cache = _CACHES.get(directory)
         if cache is None:
             cache = GroundProgramCache(directory)
-            _CACHES[registry_key] = cache
+            _CACHES[directory] = cache
         return cache
 
 
-# ----------------------------------------------------------------------
-# incremental base-state registry
-# ----------------------------------------------------------------------
-class IncrementalGroundState:
-    """A monotone grounder + long-lived encoder over one base program
-    (repository encoding + logic), shared by every solve whose
-    (logic digest, repo digest, encoding, splicing) matches."""
-
-    def __init__(self, encoder, grounder):
-        self.encoder = encoder
-        self.grounder = grounder
-        self.lock = threading.RLock()
-        #: solves served from this state (introspection/tests)
-        self.solves = 0
-
-
-_MAX_STATES = 4
-_STATES: "OrderedDict[Tuple, IncrementalGroundState]" = OrderedDict()
-_STATES_LOCK = threading.Lock()
-
-
-def incremental_state(
-    key: Tuple, factory: Callable[[], IncrementalGroundState]
-) -> IncrementalGroundState:
-    """Fetch (or build via ``factory``) the shared base state for
-    ``key``.  The build runs outside the registry lock — a racing
-    duplicate build is wasted work, not a correctness problem, and the
-    first one registered wins."""
-    with _STATES_LOCK:
-        state = _STATES.get(key)
-        if state is not None:
-            _STATES.move_to_end(key)
-            return state
-    built = factory()
-    with _STATES_LOCK:
-        state = _STATES.get(key)
-        if state is None:
-            _STATES[key] = built
-            while len(_STATES) > _MAX_STATES:
-                _STATES.popitem(last=False)
-            state = built
-        return state
-
-
 def reset_ground_caches() -> None:
-    """Drop every process-level cache and incremental state (tests)."""
+    """Drop every process-level cache (tests)."""
     with _CACHES_LOCK:
         _CACHES.clear()
-    with _STATES_LOCK:
-        _STATES.clear()

@@ -22,6 +22,8 @@ from repro.installer import Installer
 from repro.obs import metrics
 from repro.repos.mock import make_mock_repo
 
+from .legacy_index import write_legacy_index
+
 
 @pytest.fixture()
 def repo():
@@ -148,24 +150,11 @@ class TestMirrorSemantics:
             MirrorGroup([])
 
 
-requires_v3_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1"
-    or os.environ.get("REPRO_BUILDCACHE_WRITE_V2") == "1",
-    reason="asserts v3 summary-sidecar behaviour",
-)
-
-requires_sharded_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1",
-    reason="v1 monoliths have no manifest for refresh() to diff",
-)
-
-
 def absent_hash(i: int) -> str:
     return hashlib.sha256(f"nowhere-{i}".encode()).hexdigest()[:32]
 
 
 class TestMergedView:
-    @requires_v3_writes
     def test_cold_union_reads_no_shards(self, repo, spec, tmp_path):
         """The 741 ms fix, observed at the op level: a cold group's
         union comes from one summary-sidecar read per mirror — no
@@ -240,7 +229,6 @@ class TestMergedView:
         group.save_index()
         assert len(group) == len(expected)
 
-    @requires_sharded_writes
     def test_refresh_picks_up_another_writers_save(self, repo, spec, tmp_path):
         """A foreign process saves into a mirror: ``group.refresh()``
         delta-reloads it and the union catches up without a reopen."""
@@ -264,7 +252,6 @@ class TestMergedView:
         )
         assert set(group) == expected
 
-    @requires_sharded_writes  # a v1 monolith is fully parsed at open
     def test_degraded_mirror_recovers_on_next_view(self, repo, spec, tmp_path):
         """Enumeration failure leaves the mirror out of the view (the
         union degrades, never lies); once the backend heals, the next
@@ -432,9 +419,8 @@ class TestMirrorInstallPath:
         assert tree_digest(tmp_path / "s1") == tree_digest(tmp_path / "s2")
         assert metrics.counter("buildcache.mirror_fallbacks").value > 0
 
-    @requires_v3_writes
     def test_install_identical_with_summaries_vs_write_v2(
-        self, repo, spec, tmp_path, monkeypatch
+        self, repo, spec, tmp_path
     ):
         """Format parity: a two-mirror install through v3 summaries and
         through digest-less v2 indexes produces byte-identical trees —
@@ -442,6 +428,8 @@ class TestMirrorInstallPath:
         def build_group(tag):
             make_cache(repo, spec, tmp_path / f"B{tag}", "B",
                        tmp_path / f"seed{tag}")
+            if tag == "2":
+                write_legacy_index(tmp_path / f"B{tag}", 2)
             shutil.copytree(tmp_path / f"B{tag}", tmp_path / f"A{tag}")
             shutil.rmtree(tmp_path / f"A{tag}" / "blobs")
             a = BuildCache(tmp_path / f"A{tag}", name="A")
@@ -452,7 +440,6 @@ class TestMirrorInstallPath:
         Installer(tmp_path / "s3", repo, caches=[group3], fetch_jobs=2
                   ).install(spec)
 
-        monkeypatch.setenv("REPRO_BUILDCACHE_WRITE_V2", "1")
         group2 = build_group("2")
         assert not (tmp_path / "B2" / "index.sum.json").exists()
         Installer(tmp_path / "s2", repo, caches=[group2], fetch_jobs=2

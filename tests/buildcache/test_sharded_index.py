@@ -20,32 +20,7 @@ from repro.buildcache.index import SHARD_WIDTH
 from repro.obs import metrics, trace
 from repro.repos.mock import make_mock_repo
 
-
-#: the CI migration leg sets REPRO_BUILDCACHE_WRITE_V1=1 to run the
-#: whole suite through monolithic v1 writes; tests that assert the
-#: sharded on-disk shape are meaningless there and sit out
-requires_v2_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1",
-    reason="asserts the sharded on-disk layout",
-)
-
-#: the v2-compat leg additionally sets REPRO_BUILDCACHE_WRITE_V2=1;
-#: tests that assert v3-only state (digests, the summary sidecar) sit
-#: out under either compat knob
-requires_v3_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1"
-    or os.environ.get("REPRO_BUILDCACHE_WRITE_V2") == "1",
-    reason="asserts the v3 digest/summary on-disk layout",
-)
-
-
-def saved_version() -> int:
-    """The manifest version the active env knobs make save() emit."""
-    if os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1":
-        return 1
-    if os.environ.get("REPRO_BUILDCACHE_WRITE_V2") == "1":
-        return 2
-    return 3
+from .legacy_index import write_legacy_index
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +54,10 @@ def populate(root: Path, count: int) -> dict:
 
 
 class TestShardLayout:
-    @requires_v2_writes
     def test_manifest_and_shards_on_disk(self, tmp_path):
         docs = populate(tmp_path, 50)
         manifest = json.loads((tmp_path / "index.json").read_text())
-        assert manifest["version"] == saved_version()
+        assert manifest["version"] == 3
         assert manifest["shard_width"] == SHARD_WIDTH
         shard_files = sorted((tmp_path / "index.d").glob("*.json"))
         assert shard_files, "no shard files written"
@@ -95,7 +69,6 @@ class TestShardLayout:
                 assert h[:SHARD_WIDTH] == path.stem
         assert sum(e["specs"] for e in manifest["shards"].values()) == len(docs)
 
-    @requires_v2_writes
     def test_single_lookup_parses_one_shard(self, tmp_path):
         docs = populate(tmp_path, 200)
         some_hash = sorted(docs)[17]
@@ -117,7 +90,6 @@ class TestShardLayout:
         index = ShardedIndex(tmp_path)
         assert sorted(index.spec_hashes()) == sorted(docs)
 
-    @requires_v2_writes
     def test_incremental_save_rewrites_only_dirty_shards(self, tmp_path):
         populate(tmp_path, 200)
         index = ShardedIndex(tmp_path)
@@ -131,7 +103,6 @@ class TestShardLayout:
         assert stats["buildcache.shard_save"]["count"] == 1
         assert ShardedIndex(tmp_path).get_spec(h) == doc
 
-    @requires_v2_writes
     def test_corrupt_shard_is_diagnosed(self, tmp_path):
         docs = populate(tmp_path, 20)
         some_hash = sorted(docs)[0]
@@ -270,13 +241,12 @@ class TestV1Migration:
         for h, spec_doc in doc["specs"].items():
             assert index.get_spec(h) == spec_doc
 
-    @requires_v2_writes
     def test_v1_migrates_to_sharded_on_save(self, tmp_path):
         (tmp_path / "index.json").write_text(json.dumps(self.v1_document()))
         index = ShardedIndex(tmp_path)
         index.save()
         manifest = json.loads((tmp_path / "index.json").read_text())
-        assert manifest["version"] == saved_version()
+        assert manifest["version"] == 3
         assert (tmp_path / "index.d").is_dir()
         assert ShardedIndex(tmp_path).spec_count() == 30
         assert metrics.counter("buildcache.v1_migrations").value > 0
@@ -298,25 +268,25 @@ class TestV1Migration:
         with pytest.raises(BuildCacheError, match="version"):
             ShardedIndex(tmp_path)
 
-    def test_write_v1_env_knob_round_trips(self, tmp_path, monkeypatch):
-        """The CI migration leg: saves emit monolithic v1, reads migrate."""
+    def test_v1_monolith_round_trips(self, tmp_path):
+        """A saved index rewritten as a v1 monolith reads back, and the
+        next save migrates it to v3."""
         index = ShardedIndex(tmp_path)
         h, doc = fake_doc(7)
         index.record_push({h: doc}, {}, {})
-        monkeypatch.setenv("REPRO_BUILDCACHE_WRITE_V1", "1")
         index.save()
+        write_legacy_index(tmp_path, 1)
         on_disk = json.loads((tmp_path / "index.json").read_text())
         assert on_disk["version"] == 1
         assert h in on_disk["specs"]
-        monkeypatch.delenv("REPRO_BUILDCACHE_WRITE_V1")
         reopened = ShardedIndex(tmp_path)
         assert reopened.get_spec(h) == doc
         reopened.save()  # and back to the sharded format
-        assert json.loads((tmp_path / "index.json").read_text())["version"] in (2, 3)
+        assert json.loads((tmp_path / "index.json").read_text())["version"] == 3
+        assert ShardedIndex(tmp_path).get_spec(h) == doc
 
 
 class TestBuildCacheIntegration:
-    @requires_v2_writes
     def test_cache_open_does_not_parse_shards(self, zlib, tmp_path):
         src = tmp_path / "build" / "zlib"
         (src / "lib").mkdir(parents=True)
@@ -345,7 +315,6 @@ class TestContentDigest:
         saver = ShardedIndex(tmp_path)
         assert saver.content_digest() == ShardedIndex(tmp_path).content_digest()
 
-    @requires_v3_writes
     def test_clean_manifest_path_is_o1(self, tmp_path):
         populate(tmp_path, 20)
         obs.reset()

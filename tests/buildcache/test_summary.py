@@ -1,9 +1,8 @@
 """Summary tests: the no-false-negative contract, v3 on-disk shape,
-digest gating, delta refresh, and the v2 compat knob."""
+sidecar hash gating, delta refresh, and v2 manifest reads."""
 
 import hashlib
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -11,26 +10,16 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.buildcache import (
-    BloomSummary,
     BuildCache,
     ShardedIndex,
     SortedHashSummary,
-    build_summary,
     summary_from_document,
 )
 from repro.buildcache.index import SUMMARY_NAME
+from repro.cli import main
 from repro.obs import metrics, trace
 
-requires_v3_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1"
-    or os.environ.get("REPRO_BUILDCACHE_WRITE_V2") == "1",
-    reason="asserts the v3 digest/summary on-disk layout",
-)
-
-requires_sharded_writes = pytest.mark.skipif(
-    os.environ.get("REPRO_BUILDCACHE_WRITE_V1") == "1",
-    reason="the v1 compat leg saves monoliths, not sharded manifests",
-)
+from .legacy_index import write_legacy_index
 
 
 def fake_hash(i, population="s") -> str:
@@ -57,28 +46,16 @@ hex_hashes = st.text(alphabet="0123456789abcdef", min_size=4, max_size=32)
 
 
 class TestSummaryStructures:
-    """The structural contract, hammered: a summary may claim an absent
-    hash is maybe-present (false positive), but it must NEVER claim a
+    """The structural contract, hammered: a summary must NEVER claim a
     present hash is absent — that would hide cached specs."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         members=st.sets(hex_hashes, max_size=60),
         probes=st.lists(hex_hashes, max_size=30),
-        kind=st.sampled_from(["sorted", "bloom"]),
-        bits=st.integers(min_value=1, max_value=24),
-        num_hashes=st.integers(min_value=1, max_value=8),
-        prefix_len=st.integers(min_value=0, max_value=8),
     )
-    def test_never_a_false_negative(
-        self, members, probes, kind, bits, num_hashes, prefix_len
-    ):
-        if kind == "bloom":
-            summary = BloomSummary(
-                members, bits_per_key=bits, num_hashes=num_hashes
-            )
-        else:
-            summary = SortedHashSummary(members, prefix_len=prefix_len)
+    def test_never_a_false_negative(self, members, probes):
+        summary = SortedHashSummary(members)
         # round-trip through the on-disk document as well: the summary
         # a *different process* reads answers identically
         restored = summary_from_document(
@@ -95,42 +72,24 @@ class TestSummaryStructures:
     def test_sorted_full_is_exact_and_enumerable(self):
         members = {fake_hash(i) for i in range(50)}
         summary = SortedHashSummary(members)
-        assert summary.enumerable
         assert set(summary.hashes()) == members
         assert not summary.contains(fake_hash(10_000))
 
-    def test_truncated_sorted_is_not_enumerable(self):
-        summary = SortedHashSummary({fake_hash(1)}, prefix_len=4)
-        assert not summary.enumerable
-        with pytest.raises(Exception, match="cannot enumerate"):
-            summary.hashes()
-
     def test_unknown_document_key_is_rejected(self):
-        # a corrupted key name (e.g. one flipped byte in "prefix_len")
-        # must not silently fall back to a default that may equal the
-        # real value — the mutation property in test_storage_audit
-        # found exactly that gap
+        # a corrupted key name (e.g. one flipped byte in "hashes") must
+        # not silently fall back to a default — the mutation property
+        # in test_storage_audit found exactly that gap
         doc = SortedHashSummary({fake_hash(1)}).to_document()
-        doc[" refix_len"] = doc.pop("prefix_len")
+        doc[" ashes"] = doc.pop("hashes")
         with pytest.raises(Exception, match="unknown key"):
             summary_from_document(doc)
-        bloom = BloomSummary({fake_hash(1)}).to_document()
-        bloom["coun t"] = bloom.pop("count")
-        with pytest.raises(Exception, match="unknown key"):
-            summary_from_document(bloom)
 
-    def test_bloom_env_knobs_are_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY", "bloom")
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY_BITS", "16")
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY_HASHES", "6")
-        summary = build_summary([fake_hash(i) for i in range(100)])
-        assert isinstance(summary, BloomSummary)
-        assert summary.m == 16 * 100
-        assert summary.num_hashes == 6
+
+def sidecar_sha(root) -> str:
+    return hashlib.sha256((root / SUMMARY_NAME).read_bytes()).hexdigest()
 
 
 class TestV3OnDisk:
-    @requires_v3_writes
     def test_manifest_carries_digests_and_sidecar_matches(self, tmp_path):
         populate(tmp_path, 80)
         manifest = json.loads((tmp_path / "index.json").read_text())
@@ -138,11 +97,10 @@ class TestV3OnDisk:
         assert manifest["digest"]
         for entry in manifest["shards"].values():
             assert entry["digest"]
+        assert manifest["summary_sha256"] == sidecar_sha(tmp_path)
         sidecar = json.loads((tmp_path / SUMMARY_NAME).read_text())
-        assert sidecar["digest"] == manifest["digest"]
         assert set(sidecar["shards"]) == set(manifest["shards"])
 
-    @requires_v3_writes
     def test_negative_lookup_reads_no_shard(self, tmp_path):
         docs = populate(tmp_path, 200)
         # probe an absent hash whose shard provably exists on disk —
@@ -155,32 +113,6 @@ class TestV3OnDisk:
         assert "buildcache.shard_load" not in trace.phase_stats()
         assert metrics.counter("buildcache.summary_hits").value == 1
 
-    @requires_v3_writes
-    def test_bloom_false_positive_falls_through(self, tmp_path, monkeypatch):
-        """A 1-bit-per-key bloom is mostly false positives: every probe
-        must still come back correct via the authoritative shard read."""
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY", "bloom")
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY_BITS", "1")
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY_HASHES", "1")
-        docs = populate(tmp_path, 400)
-        obs.reset()
-        index = ShardedIndex(tmp_path)
-        # probe absent hashes into shards that exist on disk, before
-        # loading anything — each answer comes from summary or shard
-        # read, never from an already-parsed shard
-        for i, h in enumerate(list(docs)[:200]):
-            probe = h[:2] + "e" * 28 + f"{i:02x}"
-            assert probe not in docs
-            assert not index.has_spec(probe)
-        counters = metrics.snapshot()["counters"]
-        fp = counters.get("buildcache.summary_false_positives", 0)
-        assert fp > 0, "a 1-bit 1-hash bloom with zero false positives is broken"
-        assert counters.get("buildcache.summary_hits", 0) > 0
-        # and no false negatives: every cached spec is still found
-        for h in docs:
-            assert index.has_spec(h)
-
-    @requires_v3_writes
     def test_enumeration_reads_no_shard(self, tmp_path):
         docs = populate(tmp_path, 150)
         obs.reset()
@@ -188,23 +120,25 @@ class TestV3OnDisk:
         assert sorted(index.spec_hashes()) == sorted(docs)
         assert "buildcache.shard_load" not in trace.phase_stats()
 
-    @requires_v3_writes
     def test_stale_sidecar_is_ignored(self, tmp_path):
-        """A sidecar whose digest does not match the manifest (crash
-        between the two writes, foreign writer) must not answer."""
+        """A sidecar the manifest does not vouch for (a crash between
+        the two writes, a foreign writer) must not answer."""
         docs = populate(tmp_path, 40)
-        sidecar = json.loads((tmp_path / SUMMARY_NAME).read_text())
-        sidecar["digest"] = "0" * 64
-        (tmp_path / SUMMARY_NAME).write_text(json.dumps(sidecar))
+        stale = (tmp_path / SUMMARY_NAME).read_bytes()
+        index = ShardedIndex(tmp_path)
+        h, doc = fake_doc(40)
+        index.record_push({h: doc}, {}, {})
+        index.save()
+        docs[h] = doc
+        (tmp_path / SUMMARY_NAME).write_bytes(stale)
         obs.reset()
         index = ShardedIndex(tmp_path)
         for h in docs:
             assert index.has_spec(h)
         assert not index.has_spec(fake_hash(0, "absent"))
-        assert metrics.counter("buildcache.summary_stale").value == 1
+        assert metrics.counter("buildcache.summary_corrupt").value == 1
         assert metrics.counter("buildcache.summary_hits").value == 0
 
-    @requires_v3_writes
     def test_corrupt_sidecar_degrades_not_crashes(self, tmp_path):
         docs = populate(tmp_path, 20)
         (tmp_path / SUMMARY_NAME).write_text("{torn")
@@ -214,19 +148,6 @@ class TestV3OnDisk:
             assert index.has_spec(h)
         assert metrics.counter("buildcache.summary_corrupt").value >= 1
 
-    @requires_v3_writes
-    def test_summary_off_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BUILDCACHE_SUMMARY", "off")
-        docs = populate(tmp_path, 30)
-        assert not (tmp_path / SUMMARY_NAME).exists()
-        index = ShardedIndex(tmp_path)
-        assert index.spec_hash_set() is None  # nothing to prove it with
-        for h in docs:
-            assert index.has_spec(h)
-        # ...until the lookups above parsed every shard
-        assert index.spec_hash_set() == frozenset(docs)
-
-    @requires_v3_writes
     def test_incremental_save_reuses_clean_summaries(self, tmp_path):
         """A one-shard push folds + summarizes one shard; the other
         shards' sidecar entries are reused without loading them."""
@@ -240,9 +161,8 @@ class TestV3OnDisk:
         assert stats["buildcache.shard_save"]["count"] == 1
         # only the dirty shard was ever parsed during the save
         assert stats.get("buildcache.shard_load", {}).get("count", 0) <= 1
-        sidecar = json.loads((tmp_path / SUMMARY_NAME).read_text())
         manifest = json.loads((tmp_path / "index.json").read_text())
-        assert sidecar["digest"] == manifest["digest"]
+        assert manifest["summary_sha256"] == sidecar_sha(tmp_path)
         reopened = ShardedIndex(tmp_path)
         hashes = reopened.spec_hash_set()
         assert hashes is not None and h in hashes
@@ -257,7 +177,6 @@ class TestStateTokenAndRefresh:
         index.record_push({h: doc}, {}, {})
         assert index.state_token() != before
 
-    @requires_v3_writes
     def test_refresh_is_noop_when_digest_unchanged(self, tmp_path):
         populate(tmp_path, 50)
         index = ShardedIndex(tmp_path)
@@ -267,7 +186,6 @@ class TestStateTokenAndRefresh:
         assert index.state_token() == token
         assert "buildcache.shard_load" not in trace.phase_stats()
 
-    @requires_v3_writes
     def test_refresh_invalidates_only_changed_shards(self, tmp_path):
         docs = populate(tmp_path, 200)
         reader = ShardedIndex(tmp_path)
@@ -286,7 +204,6 @@ class TestStateTokenAndRefresh:
         # only the invalidated shard was re-read
         assert trace.phase_stats()["buildcache.shard_load"]["count"] == 1
 
-    @requires_v3_writes
     def test_refresh_keeps_journal_overlay(self, tmp_path):
         """A refresh must not lose this process's own unflushed pushes."""
         populate(tmp_path, 20)
@@ -303,46 +220,55 @@ class TestStateTokenAndRefresh:
 
 
 class TestV2Compat:
-    @requires_sharded_writes
-    def test_write_v2_knob_round_trips(self, tmp_path, monkeypatch):
-        """The CI v2-compat leg: saves emit digest-less v2 (no sidecar);
-        reads work and the next default save migrates to v3."""
-        monkeypatch.setenv("REPRO_BUILDCACHE_WRITE_V2", "1")
+    def test_v2_manifest_round_trips(self, tmp_path):
+        """A digest-less v2 manifest (no sidecar) reads correctly, and
+        the next save migrates it to v3."""
         docs = populate(tmp_path, 60)
-        manifest = json.loads((tmp_path / "index.json").read_text())
-        assert manifest["version"] == 2
-        assert "digest" not in manifest
-        assert not (tmp_path / SUMMARY_NAME).exists()
+        write_legacy_index(tmp_path, 2)
         reopened = ShardedIndex(tmp_path)
+        assert reopened.spec_hash_set() is None  # nothing to prove it with
         for h in docs:
             assert reopened.has_spec(h)
         assert not reopened.has_spec(fake_hash(3, "absent"))
-        monkeypatch.delenv("REPRO_BUILDCACHE_WRITE_V2")
+        # ...until the lookups above parsed every shard
+        assert reopened.spec_hash_set() == frozenset(docs)
         reopened.save()  # migrate on save
         manifest = json.loads((tmp_path / "index.json").read_text())
         assert manifest["version"] == 3
         assert manifest["digest"]
-        sidecar = json.loads((tmp_path / SUMMARY_NAME).read_text())
-        assert sidecar["digest"] == manifest["digest"]
+        assert manifest["summary_sha256"] == sidecar_sha(tmp_path)
         migrated = ShardedIndex(tmp_path)
         assert migrated.spec_hash_set() == frozenset(docs)
 
-    @requires_sharded_writes
-    def test_v2_cache_reads_v3_state_transparently(self, tmp_path, monkeypatch):
-        """Indexes round-trip across the knob in both directions."""
-        docs = populate(tmp_path, 30)  # whatever the env default emits
-        monkeypatch.setenv("REPRO_BUILDCACHE_WRITE_V2", "1")
+    def test_v2_cache_reads_v3_state_transparently(self, tmp_path):
+        """A push onto a v2 cache saves as v3 with every old spec."""
+        docs = populate(tmp_path, 30)
+        write_legacy_index(tmp_path, 2)
         index = ShardedIndex(tmp_path)
         h, doc = fake_doc(31)
         index.record_push({h: doc}, {}, {})
         index.save()
         reopened = ShardedIndex(tmp_path)
         assert reopened.spec_count() == len(docs) + 1
-        assert not (tmp_path / SUMMARY_NAME).exists()
+        assert reopened.spec_hash_set() == frozenset(docs) | {h}
+
+    def test_v2_refresh_diffs_counts(self, tmp_path):
+        """v2 manifests carry no digests, so refresh() finds changed
+        shards by their spec counts."""
+        populate(tmp_path, 50)
+        write_legacy_index(tmp_path, 2)
+        reader = ShardedIndex(tmp_path)
+        reader.load_all()
+        writer = ShardedIndex(tmp_path)
+        h, doc = fake_doc(100002)
+        writer.record_push({h: doc}, {}, {})
+        writer.save()
+        write_legacy_index(tmp_path, 2)
+        assert reader.refresh() == 1
+        assert reader.get_spec(h) == doc
 
 
 class TestBuildCacheSummaryIntegration:
-    @requires_v3_writes
     def test_cache_negative_contains_reads_no_shard(self, tmp_path):
         index = ShardedIndex(tmp_path)
         docs = {}
@@ -357,3 +283,41 @@ class TestBuildCacheSummaryIntegration:
         assert "buildcache.shard_load" not in trace.phase_stats()
         assert cache.manifest_digest
         assert cache.spec_hash_set() == frozenset(docs)
+
+
+class TestCorruptSidecar:
+    """One flipped hex character inside a hashed sidecar: readers must
+    notice that the bytes no longer match the manifest's record and
+    answer from the shards, never from the corrupted table."""
+
+    SPEC = "example@1.1.0 ^mpich@3.4.3"
+
+    def spec_output(self, cache, capsys):
+        capsys.readouterr()
+        assert main(["--repo", "mock", "spec", "--cache", str(cache),
+                     self.SPEC]) == 0
+        return capsys.readouterr().out
+
+    def test_flipped_hash_character_is_ignored(self, tmp_path, capsys):
+        store, cache = tmp_path / "store", tmp_path / "bc"
+        assert main(["--repo", "mock", "install", "--store", str(store),
+                     self.SPEC]) == 0
+        assert main(["--repo", "mock", "buildcache", "create", "example",
+                     "--store", str(store), "--cache", str(cache)]) == 0
+        pristine_hashes = {s.dag_hash() for s in BuildCache(cache).all_specs()}
+        pristine_output = self.spec_output(cache, capsys)
+
+        sidecar = json.loads((cache / SUMMARY_NAME).read_text())
+        prefix = sorted(sidecar["shards"])[0]
+        victim = sidecar["shards"][prefix]["hashes"][0]
+        flipped = victim[:-1] + ("0" if victim[-1] != "0" else "1")
+        raw = (cache / SUMMARY_NAME).read_text()
+        (cache / SUMMARY_NAME).write_text(raw.replace(victim, flipped))
+
+        obs.reset()
+        assert ShardedIndex(cache).has_spec(victim)
+        assert metrics.counter("buildcache.summary_corrupt").value == 1
+        assert {s.dag_hash() for s in BuildCache(cache).all_specs()} == (
+            pristine_hashes
+        )
+        assert self.spec_output(cache, capsys) == pristine_output

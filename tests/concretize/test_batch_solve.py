@@ -1,4 +1,4 @@
-"""Batched single-solve (``solve_all``) and incremental re-solve.
+"""Batched single-solve (``solve_all``).
 
 ``solve_all`` puts every root in ONE ASP program; the contract is
 semantics preservation — each per-root view must be a valid concrete
@@ -15,7 +15,7 @@ from repro.concretize import (
     UnsatisfiableError,
 )
 from repro.concretize import groundcache
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.repos.mock import make_mock_repo
 from repro.repos.radiuss import make_radiuss_repo
 
@@ -110,69 +110,3 @@ class TestSolveAll:
             AuditContext(repo=repo, concrete_specs=specs, reusable_specs=specs)
         )
         assert not report.has_errors, report.render()
-
-
-class TestIncremental:
-    def test_matches_classic_solve(self, repo):
-        inc = Concretizer(repo, incremental=True)
-        for spec in ("app", "example", "app"):
-            incremental_root = inc.solve([spec]).roots[0]
-            classic_root = Concretizer(repo).solve([spec]).roots[0]
-            assert dag_canon(incremental_root) == dag_canon(classic_root)
-
-    def test_counts_resolves(self, repo):
-        before = counter("concretize.incremental_resolves")
-        inc = Concretizer(repo, incremental=True)
-        inc.solve(["app"])
-        inc.solve(["example"])
-        assert counter("concretize.incremental_resolves") == before + 2
-
-    def test_ground_delta_span_not_classic_ground(self, repo):
-        inc = Concretizer(repo, incremental=True)
-        before = trace.phase_times()
-        inc.solve(["app"])
-        after = trace.phase_times()
-        assert after.get("asp.ground_delta", 0.0) > before.get(
-            "asp.ground_delta", 0.0
-        )
-        assert after.get("asp.ground", 0.0) == before.get("asp.ground", 0.0)
-
-    def test_state_shared_across_concretizers(self, repo):
-        a = Concretizer(repo, incremental=True)
-        b = Concretizer(repo, incremental=True)
-        a.solve(["zlib"])
-        b.solve(["zlib"])
-        key = next(iter(groundcache._STATES))
-        assert groundcache._STATES[key].solves == 2
-
-    def test_forbidden_stays_per_request(self, repo):
-        inc = Concretizer(repo, incremental=True)
-        with pytest.raises(UnsatisfiableError):
-            inc.solve(["app"], forbidden=["zlib"])
-        # the forbidden constraint must not leak into the next request
-        result = inc.solve(["app"])
-        assert any(n.name == "zlib" for n in result.roots[0].traverse())
-
-    def test_batch_plus_incremental(self, repo):
-        inc = Concretizer(repo, incremental=True)
-        first = inc.solve_all(["app", "example"])
-        second = inc.solve_all(["app", "tool"])
-        classic = Concretizer(repo).solve_all(["app", "tool"])
-        assert [dag_canon(r) for r in second.roots] == [
-            dag_canon(r) for r in classic.roots
-        ]
-        assert [r.name for r in first.roots] == ["app", "example"]
-
-    def test_splicing_incremental_matches_classic(self):
-        repo = make_radiuss_repo()
-        base = Concretizer(repo)
-        reusable = base.solve(["hypre"]).roots
-        classic = Concretizer(
-            repo, reusable_specs=reusable, splicing=True
-        ).solve(["hypre"])
-        inc = Concretizer(
-            repo, reusable_specs=reusable, splicing=True, incremental=True
-        ).solve(["hypre"])
-        assert [dag_canon(r) for r in inc.roots] == [
-            dag_canon(r) for r in classic.roots
-        ]

@@ -272,17 +272,9 @@ class TestCrossProcess:
 
 class TestDefaults:
     def test_cache_off_by_default(self, repo, monkeypatch):
-        monkeypatch.delenv(groundcache.ENV_CACHE, raising=False)
         monkeypatch.delenv(groundcache.ENV_CACHE_DIR, raising=False)
         concretizer = Concretizer(repo)
         assert concretizer.ground_cache is None
-        assert concretizer.incremental is False
-
-    def test_env_enables_memory_cache(self, repo, monkeypatch):
-        monkeypatch.setenv(groundcache.ENV_CACHE, "1")
-        concretizer = Concretizer(repo)
-        assert concretizer.ground_cache is not None
-        assert concretizer.ground_cache.directory is None
 
     def test_env_enables_disk_cache(self, repo, monkeypatch, tmp_path):
         monkeypatch.setenv(groundcache.ENV_CACHE_DIR, str(tmp_path))
@@ -290,7 +282,3 @@ class TestDefaults:
         b = Concretizer(repo)
         assert a.ground_cache is b.ground_cache  # shared per directory
         assert a.ground_cache.directory == tmp_path
-
-    def test_env_enables_incremental(self, repo, monkeypatch):
-        monkeypatch.setenv(groundcache.ENV_INCREMENTAL, "1")
-        assert Concretizer(repo).incremental is True
