@@ -111,7 +111,7 @@ def build_audit_program(repo) -> Tuple[Program, List[Diagnostic]]:
                     checker="encoding.assembly",
                 )
             )
-    encoder.encode_virtuals()
+    encoder.encode_virtuals(repo.virtual_names())
     try:
         encoder.encode_request([Spec(name) for name in encodable])
     except Exception as exc:

@@ -15,7 +15,7 @@ Typical use::
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..obs import Span, trace
 from .grounder import Grounder
@@ -96,10 +96,6 @@ class Control:
     def add_fact(self, atom: Atom) -> None:
         self.program.add_fact(atom)
 
-    def add_facts(self, atoms: Iterable[Atom]) -> None:
-        for atom in atoms:
-            self.program.add_fact(atom)
-
     def add_rule(self, rule: Rule) -> None:
         self.program.add_rule(rule)
 
@@ -159,6 +155,7 @@ class Control:
                 decisions=sat_stats["decisions"],
                 conflicts=sat_stats["conflicts"],
                 loop_formulas=optimizer.finder.loop_formulas_added,
+                finder_calls=optimizer.finder.calls,
             )
 
         stats = {
@@ -166,6 +163,7 @@ class Control:
             "translate_time": translate_span.duration,
             "solve_time": solve_span.duration,
             "models_seen": outcome.models_seen,
+            "finder_calls": optimizer.finder.calls,
             "loop_formulas": optimizer.finder.loop_formulas_added,
             "atoms": len(translator.atom_var),
             **{f"ground_{k}": v for k, v in self._ground_program.stats().items()},

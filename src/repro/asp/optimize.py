@@ -11,7 +11,9 @@ highest to lowest:
    "budget" circuit whose root literal *assumes* ``Σ wᵢxᵢ ≤ k``;
 3. repeatedly solve under the assumption ``cost ≤ incumbent - 1``; each
    SAT answer lowers the incumbent, UNSAT proves optimality;
-4. permanently assert the optimal bound and recurse to the next level.
+4. permanently assert the optimal bound and recurse to the next level;
+   the incumbent already meets it, so it carries over, together with
+   the solver assignment its costs are read from, with no re-solve.
 
 The PB circuit uses the standard BDD/DP decomposition memoized on
 ``(index, residual_budget)`` with budgets clamped to suffix sums, so
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .sat import TRUE
 from .stable import StableModelFinder
 from .syntax import Atom
 from .translate import Translator
@@ -125,13 +128,18 @@ class Optimizer:
         if on_model is not None:
             on_model(model)
 
+        # The incumbent keeps the solver assignment it was found in: its
+        # costs are sums over indicator variables (Tseitin bodies), and
+        # the assignment meets every bound frozen so far, so it stays the
+        # incumbent of the next level with no re-solve.
         assumptions: List[int] = list(base_assumptions)
         best_model = model
+        best_assignment = self.translator.solver.model()
         priorities = sorted(self.translator.objectives, reverse=True)
         for priority in priorities:
             terms = self.translator.objectives[priority]
             budget = _PBBudget(self.translator, terms)
-            best_cost = self._cost(best_model, terms)
+            best_cost = _cost(best_assignment, terms)
             # Bracketed descent: probe the midpoint of [floor, best).
             # A SAT probe may overshoot downward (the model's true cost
             # bounds it); an UNSAT probe raises the floor.  Converges in
@@ -149,9 +157,11 @@ class Optimizer:
                     floor = probe + 1
                     continue
                 models_seen += 1
-                new_cost = self._cost(candidate, terms)
+                assignment = self.translator.solver.model()
+                new_cost = _cost(assignment, terms)
                 assert new_cost < best_cost, "PB bound failed to strengthen"
                 best_model = candidate
+                best_assignment = assignment
                 best_cost = new_cost
                 if on_model is not None:
                     on_model(candidate)
@@ -159,18 +169,14 @@ class Optimizer:
             root = budget.root(best_cost)
             if root is not None:
                 assumptions.append(root)
-            # Re-anchor the incumbent (solver state may have moved on).
-            best_model = self.finder.solve(assumptions)
-            assert best_model is not None, "optimum must remain satisfiable"
 
         cost = {
-            priority: self._cost(best_model, self.translator.objectives[priority])
+            priority: _cost(best_assignment, self.translator.objectives[priority])
             for priority in priorities
         }
         return OptimizeResult(best_model, cost, models_seen, True)
 
-    def _cost(self, model: Set[Atom], terms) -> int:
-        # Indicator variables are Tseitin bodies — recompute from the
-        # last solver model rather than the atom set.
-        solver_model = self.translator.solver.model()
-        return sum(w for w, var in terms if solver_model[var] == 1)
+
+def _cost(assignment: Sequence[int], terms) -> int:
+    """The objective value of ``terms`` under a solver assignment."""
+    return sum(w for w, var in terms if assignment[var] == TRUE)

@@ -12,7 +12,7 @@ allocated through :meth:`Solver.new_var`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Solver", "SolverError", "TRUE", "FALSE", "UNASSIGNED"]
 
@@ -482,11 +482,6 @@ class Solver:
         """The satisfying assignment after a True solve(): list indexed by
         variable, entries TRUE/FALSE."""
         return list(self.assign)
-
-    def model_true_vars(self) -> Iterable[int]:
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == TRUE:
-                yield v
 
     def stats(self) -> Dict[str, int]:
         return {

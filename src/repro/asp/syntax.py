@@ -530,10 +530,6 @@ class Rule:
     def is_constraint(self) -> bool:
         return self.head is None
 
-    @property
-    def is_choice(self) -> bool:
-        return isinstance(self.head, ChoiceHead)
-
     def variables(self) -> Iterable[str]:
         if isinstance(self.head, Atom):
             yield from self.head.variables()

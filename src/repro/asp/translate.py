@@ -306,11 +306,3 @@ class Translator:
             for atom, var in self.atom_var.items()
             if model[var] == 1
         }
-
-    def cost_of_model(self) -> Dict[int, int]:
-        """Objective cost per priority for the current model."""
-        model = self.solver.model()
-        return {
-            priority: sum(w for w, var in terms if model[var] == 1)
-            for priority, terms in self.objectives.items()
-        }

@@ -12,7 +12,7 @@ notes this cross-matching is one motivation for the hash_attr encoding.
 
 from __future__ import annotations
 
-from typing import List, Optional, Type
+from typing import Container, List, Optional, Type
 
 from ..asp.syntax import Atom, Literal, Rule, String, Variable
 from ..package.package import PackageBase
@@ -30,9 +30,13 @@ class CanSpliceCompiler:
         self.repo = repo
         self.encoder = encoder
 
-    def compile_all(self) -> List[Rule]:
+    def compile_all(self, names: Container[str]) -> List[Rule]:
+        """The rules of every splicing package in ``names``, in repository
+        order."""
         rules: List[Rule] = []
         for pkg_cls in self.repo:
+            if pkg_cls.name not in names:
+                continue
             for index, decl in enumerate(pkg_cls.can_splice_decls):
                 rules.append(self.compile_decl(pkg_cls, decl, index))
         return rules

@@ -10,20 +10,23 @@ Configuration axes mirror the paper's experiments (Section 6.1.4):
 
 from __future__ import annotations
 
+import gc
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..asp.api import Control, Model
 from ..asp.parser import parse_program
-from ..asp.syntax import Atom, Program
+from ..asp.syntax import Atom, Program, String
 from ..obs import metrics, trace
 from ..package.repository import Repository
-from ..spec import Spec, parse_one
+from ..spec import DEPTYPE_LINK_RUN, Spec, parse_one
 from . import groundcache
 from .cansplice import CanSpliceCompiler
-from .encode import Encoder, EncodingError
+from .encode import Encoder, EncodingError, node_term
 from .extract import ModelExtractor
+from .possible import possible_dependencies
 from .reuse import ReuseEncoder, NEW_ENCODING, OLD_ENCODING
 
 __all__ = [
@@ -51,6 +54,27 @@ def _load_logic(name: str) -> Program:
 
 class UnsatisfiableError(RuntimeError):
     """No concretization satisfies the request."""
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector for one concretization.
+
+    A solve allocates tens of thousands of objects that live until it
+    returns (atoms, ground rules, clauses) and leaves only a few thousand
+    in reference cycles, so each collection it triggers scans the
+    caller's whole heap for almost nothing.  With the test suite's heap
+    one generation-2 collection took ~0.09 s on a 2-vCPU VM, more than a
+    pruned solve.  The cycles are collected once the collector resumes.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class ConcretizationResult:
@@ -170,6 +194,13 @@ class Concretizer:
         for spec in self.reusable_specs:
             for node in spec.traverse():
                 self._by_hash.setdefault(node.dag_hash(), node)
+        #: package name → link-run children of its cached nodes (the
+        #: edges a reused node imposes, followed by the closure)
+        self._cached_children: Dict[str, List[str]] = {}
+        for node in self._by_hash.values():
+            self._cached_children.setdefault(node.name, []).extend(
+                edge.spec.name for edge in node.edges(DEPTYPE_LINK_RUN)
+            )
         #: exact-key ground-program cache; default resolves from the
         #: environment (REPRO_GROUND_CACHE_DIR) and is OFF otherwise —
         #: fresh-solve timings must stay honest
@@ -179,20 +210,15 @@ class Concretizer:
         #: caller-provided O(1) reuse-set digest (e.g. a buildcache
         #: index's content_digest()); falls back to hashing _by_hash keys
         self._reuse_digest = reuse_digest
-        self._reuse_encoder: Optional[ReuseEncoder] = None
-        self._reuse_facts: Optional[List[Atom]] = None
 
     # ------------------------------------------------------------------
     def lookup(self, hash_: str) -> Spec:
         return self._by_hash[hash_]
 
-    def _hash_constraint_facts(self, roots: Sequence[Spec]) -> List[Atom]:
+    def _hash_requests(self, roots: Sequence[Spec]) -> List[Tuple[str, str]]:
         """Resolve ``name/abc123`` hash-prefix requests against the
-        reusable-spec set and force the matching installed hash."""
-        from ..asp.syntax import String
-        from .encode import node_term
-
-        facts: List[Atom] = []
+        reusable-spec set: one ``(package name, full hash)`` per request."""
+        resolved: List[Tuple[str, str]] = []
         for root in roots:
             for node in root.traverse():
                 prefix = node.abstract_hash
@@ -214,13 +240,8 @@ class Concretizer:
                         f"{', '.join(m[:10] for m in matches)}"
                     )
                 name = node.name or self._by_hash[matches[0]].name
-                facts.append(
-                    Atom(
-                        "attr",
-                        (String("hash"), node_term(name), String(matches[0])),
-                    )
-                )
-        return facts
+                resolved.append((name, matches[0]))
+        return resolved
 
     def explain(
         self,
@@ -236,15 +257,6 @@ class Concretizer:
     # ------------------------------------------------------------------
     # reuse-set / cache-key helpers
     # ------------------------------------------------------------------
-    def _reuse_encoding(self) -> Tuple[ReuseEncoder, List[Atom]]:
-        """The reuse facts for this concretizer's (fixed) reuse set,
-        encoded once per instance."""
-        if self._reuse_encoder is None:
-            encoder = ReuseEncoder(self.encoding)
-            self._reuse_facts = list(encoder.encode_specs(self.reusable_specs))
-            self._reuse_encoder = encoder
-        return self._reuse_encoder, self._reuse_facts
-
     def _logic_names(self) -> List[str]:
         names = ["concretize.lp"]
         if self.encoding == NEW_ENCODING:
@@ -296,8 +308,13 @@ class Concretizer:
                 return control, int(entry.meta.get("reusable_nodes", 0)), 0.0
         with trace.span("concretize.setup") as setup_span:
             control = Control()
+            hashes = self._hash_requests(roots)
+            possible = possible_dependencies(
+                self.repo, roots, [name for name, _ in hashes],
+                self._cached_children,
+            )
             encoder = Encoder(self.repo)
-            encoder.encode_repository()
+            encoder.encode_repository(possible)
             encoder.encode_request(
                 roots,
                 forbidden=forbidden,
@@ -305,18 +322,20 @@ class Concretizer:
                 default_target=self.default_target,
             )
 
-            for fact in self._hash_constraint_facts(roots):
-                control.add_fact(fact)
+            for name, hash_ in hashes:
+                control.add_fact(
+                    Atom("attr", (String("hash"), node_term(name), String(hash_)))
+                )
 
             if self.splicing:
                 compiler = CanSpliceCompiler(self.repo, encoder)
-                for rule in compiler.compile_all():
+                for rule in compiler.compile_all(possible):
                     control.add_rule(rule)
 
             encoder.into_program(control.program)
 
-            reuse, reuse_facts = self._reuse_encoding()
-            for fact in reuse_facts:
+            reuse = ReuseEncoder(self.encoding)
+            for fact in reuse.encode_nodes(self._by_hash.values(), possible):
                 control.add_fact(fact)
 
             for name in self._logic_names():
@@ -353,7 +372,7 @@ class Concretizer:
             len(self.reusable_specs),
         )
 
-        with trace.span(
+        with _cyclic_gc_paused(), trace.span(
             "concretize.solve",
             roots=[str(r) for r in roots],
             encoding=self.encoding,

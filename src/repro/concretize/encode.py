@@ -16,7 +16,7 @@ The encoding follows Section 5.1 of the paper:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from ..asp.syntax import (
     Atom,
@@ -122,13 +122,18 @@ class Encoder:
     # ------------------------------------------------------------------
     # package encoding
     # ------------------------------------------------------------------
-    def encode_repository(self) -> None:
+    def encode_repository(self, names: Container[str]) -> None:
+        """Encode the packages and virtuals in ``names`` (a request's
+        possible dependencies), in repository order."""
         for pkg_cls in self.repo:
-            self.encode_package(pkg_cls)
-        self.encode_virtuals()
+            if pkg_cls.name in names:
+                self.encode_package(pkg_cls)
+        self.encode_virtuals(names)
 
-    def encode_virtuals(self) -> None:
+    def encode_virtuals(self, names: Container[str]) -> None:
         for virtual in self.repo.virtual_names():
+            if virtual not in names:
+                continue
             self.facts.append(atom("virtual", s(virtual)))
             for provider in self.repo.providers(virtual):
                 weight = self.repo.provider_weight(virtual, provider)

@@ -12,7 +12,7 @@ the ``hash``/``depends_on`` attributes of spliceable children.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Container, Iterable, List, Set
 
 from ..asp.syntax import Atom, String
 from ..spec import Spec, DEPTYPE_LINK_RUN
@@ -43,10 +43,19 @@ class ReuseEncoder:
         self._targets: Set[str] = set()
 
     # ------------------------------------------------------------------
-    def encode_specs(self, specs: Iterable[Spec]) -> List[Atom]:
-        """Encode every node of every spec DAG (deduplicated by hash)."""
-        for spec in specs:
-            for node in spec.traverse():
+    def encode_nodes(
+        self, nodes: Iterable[Spec], possible: Container[str]
+    ) -> List[Atom]:
+        """Encode the concrete nodes (deduplicated by hash) whose package
+        is in ``possible``, in the order given.  ``known_os`` and
+        ``known_target`` cover every node, encoded or not: they are the
+        domain the solver picks a built node's os and target from."""
+        for node in nodes:
+            if node.os is not None:
+                self._oses.add(node.os)
+            if node.target is not None:
+                self._targets.add(node.target)
+            if node.name in possible:
                 self._encode_node(node)
         for os_name in sorted(self._oses):
             self.facts.append(Atom("known_os", (s(os_name),)))
@@ -74,10 +83,8 @@ class ReuseEncoder:
             )
         if node.os is not None:
             add(Atom(pred, (s(h), s("node_os"), s(name), s(node.os))))
-            self._oses.add(node.os)
         if node.target is not None:
             add(Atom(pred, (s(h), s("node_target"), s(name), s(node.target))))
-            self._targets.add(node.target)
         for edge in node.edges(DEPTYPE_LINK_RUN):
             child = edge.spec
             add(Atom(pred, (s(h), s("depends_on"), s(name), s(child.name))))

@@ -193,3 +193,142 @@ class TestFuzzVsBruteForce:
                 assert frozenset(model) in expected, (
                     f"model {model} not stable; expected one of {expected}"
                 )
+
+
+def brute_force_optimum(names, rules, choices, constraints, minimizes):
+    """Stable models of a propositional program with choice rules, and
+    the least cost vector among them (highest priority first).
+
+    ``rules``: ``(head, pos, neg)``; ``choices``: ``(atom, pos, neg)``
+    for ``{ atom } :- pos, not neg.``; ``constraints``: ``(pos, neg)``;
+    ``minimizes``: ``(weight, priority, term, pos, neg)``, summed over
+    distinct ``(weight, priority, term)`` tuples as clingo does.
+    """
+
+    def holds(pos, neg, true):
+        return set(pos) <= true and not (set(neg) & true)
+
+    priorities = sorted({p for _, p, _, _, _ in minimizes}, reverse=True)
+    models = {}
+    for bits in itertools.product([0, 1], repeat=len(names)):
+        m = {a for a, b in zip(names, bits) if b}
+        if any(holds(pos, neg, m) and head not in m for head, pos, neg in rules):
+            continue
+        if any(holds(pos, neg, m) for pos, neg in constraints):
+            continue
+        derived = set()
+        changed = True
+        while changed:
+            changed = False
+            for head, pos, neg in rules + choices:
+                if (
+                    head in m
+                    and head not in derived
+                    and set(pos) <= derived
+                    and not (set(neg) & m)
+                ):
+                    derived.add(head)
+                    changed = True
+        if derived != m:
+            continue
+        tuples = {(w, p, t) for w, p, t, pos, neg in minimizes if holds(pos, neg, m)}
+        models[frozenset(m)] = tuple(
+            sum(w for w, q, _ in tuples if q == p) for p in priorities
+        )
+    best = min(models.values()) if models else None
+    return models, best, priorities
+
+
+def random_optimization_program(rng):
+    """Rules over a-f with positive loops, choice rules with bodies,
+    constraints and a multi-level ``#minimize``."""
+    names = ["a", "b", "c", "d", "e", "f"]
+    lines, rules, choices, constraints, minimizes = [], [], [], [], []
+
+    def body(pos, neg):
+        return ", ".join(pos + [f"not {x}" for x in neg])
+
+    for _ in range(rng.randint(1, 3)):
+        atom = rng.choice(names)
+        pos = rng.sample(names, rng.randint(0, 1))
+        neg = rng.sample(names, rng.randint(0, 1))
+        lines.append(f"{{ {atom} }} :- {body(pos, neg)}." if pos or neg
+                     else f"{{ {atom} }}.")
+        choices.append((atom, pos, neg))
+    loop = rng.sample(names, rng.randint(2, 3))
+    for head, dep in zip(loop, loop[1:] + loop[:1]):
+        lines.append(f"{head} :- {dep}.")
+        rules.append((head, [dep], []))
+    for _ in range(rng.randint(1, 5)):
+        head = rng.choice(names)
+        pos = rng.sample(names, rng.randint(0, 2))
+        neg = rng.sample(names, rng.randint(0, 1))
+        lines.append(f"{head} :- {body(pos, neg)}." if pos or neg else f"{head}.")
+        rules.append((head, pos, neg))
+    if rng.random() < 0.5:
+        pos = rng.sample(names, rng.randint(0, 1))
+        neg = [rng.choice(names)] if not pos else []
+        lines.append(f":- {body(pos, neg)}.")
+        constraints.append((pos, neg))
+    for _ in range(rng.randint(1, 4)):
+        weight, priority = rng.randint(1, 5), rng.randint(0, 2)
+        term = rng.choice(["t1", "t2"])
+        pos = rng.sample(names, rng.randint(1, 2))
+        neg = rng.sample(names, rng.randint(0, 1))
+        lines.append(f"#minimize {{ {weight}@{priority}, {term} : {body(pos, neg)} }}.")
+        minimizes.append((weight, priority, term, pos, neg))
+    return names, "\n".join(lines), rules, choices, constraints, minimizes
+
+
+class TestOptimizeVsBruteForce:
+    """The optimizer's cost vector is the least over every stable model,
+    and its model is one of them, on programs with positive loops."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_programs(self, seed):
+        from repro.asp.api import Control
+
+        rng = random.Random(1000 + seed)
+        for _ in range(25):
+            names, text, rules, choices, constraints, minimizes = (
+                random_optimization_program(rng)
+            )
+            models, best, priorities = brute_force_optimum(
+                names, rules, choices, constraints, minimizes
+            )
+            ctl = Control()
+            ctl.add(text)
+            result = ctl.solve()
+            if not result.satisfiable:
+                assert not models, f"engine UNSAT, brute force: {models}\n{text}"
+                continue
+            found = frozenset(repr(a) for a in result.model)
+            assert found in models, f"model {set(found)} not stable\n{text}"
+            cost = tuple(result.cost.get(p, 0) for p in priorities)
+            assert cost == best == models[found], f"cost {cost} != {best}\n{text}"
+
+
+class TestLoopAtoms:
+    def test_acyclic_program_has_no_loop_atoms(self):
+        model, finder = solve_text("a. b :- a. { c } :- b. d :- c, not e. e :- not d.")
+        assert finder.loop_atoms == []
+        assert model is not None
+
+    def test_unsupported_loop_still_repaired(self):
+        program = parse_program("a :- b. b :- a. { s }. a :- s. :- not b.")
+        translator = Translator(Grounder(program).ground())
+        finder = StableModelFinder(translator)
+        assert sorted(map(repr, finder.loop_atoms)) == ["a", "b"]
+        s = next(v for atom, v in translator.atom_var.items() if repr(atom) == "s")
+        # without s the only supported model makes a and b support each
+        # other: the loop is unfounded and its formula proves UNSAT
+        assert finder.solve([-s]) is None
+        assert finder.loop_formulas_added == 2
+        assert {repr(a) for a in finder.solve()} == {"a", "b", "s"}
+
+    def test_repair_without_progress_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            StableModelFinder, "_add_loop_formulas", lambda self, u, a: False
+        )
+        with pytest.raises(RuntimeError, match="loop repair"):
+            solve_text("{ s }. a :- s. a :- b. b :- a. :- not b. :- s.")

@@ -62,7 +62,7 @@ class TestPackageFacts:
 
     def test_provider_facts_with_preference_weights(self, repo):
         encoder = Encoder(repo)
-        encoder.encode_repository()
+        encoder.encode_repository(repo.names() + repo.virtual_names())
         providers = facts_named(encoder, "possible_provider")
         weights = {
             f.args[0].value: f.args[2].value

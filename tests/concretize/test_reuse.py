@@ -26,6 +26,12 @@ def cached(repo):
 BOTH = pytest.mark.parametrize("encoding", [OLD_ENCODING, NEW_ENCODING])
 
 
+def encode_all(encoder, specs):
+    """Encode every node of the given DAGs (every name is possible)."""
+    nodes = [node for spec in specs for node in spec.traverse()]
+    return encoder.encode_nodes(nodes, {node.name for node in nodes})
+
+
 class TestReuseBehaviour:
     @BOTH
     def test_full_reuse_no_builds(self, repo, cached, encoding):
@@ -91,14 +97,14 @@ class TestReuseBehaviour:
 class TestReuseEncoder:
     def test_old_emits_imposed_constraint(self, cached):
         encoder = ReuseEncoder(OLD_ENCODING)
-        facts = encoder.encode_specs([cached])
+        facts = encode_all(encoder, [cached])
         predicates = {f.predicate for f in facts}
         assert "imposed_constraint" in predicates
         assert "hash_attr" not in predicates
 
     def test_new_emits_hash_attr(self, cached):
         encoder = ReuseEncoder(NEW_ENCODING)
-        facts = encoder.encode_specs([cached])
+        facts = encode_all(encoder, [cached])
         predicates = {f.predicate for f in facts}
         assert "hash_attr" in predicates
         assert "imposed_constraint" not in predicates
@@ -106,7 +112,7 @@ class TestReuseEncoder:
     def test_figure3_shape(self, cached):
         """Figure 3a: version/variant/os/target/depends_on/hash per node."""
         encoder = ReuseEncoder(NEW_ENCODING)
-        facts = encoder.encode_specs([cached])
+        facts = encode_all(encoder, [cached])
         h = cached.dag_hash()
         mine = [f for f in facts if f.predicate == "hash_attr"
                 and f.args[0].value == h]
@@ -118,7 +124,7 @@ class TestReuseEncoder:
     def test_nodes_deduplicated(self, repo):
         a = Concretizer(repo).solve(["example@1.1.0 ^mpich@3.4.3"]).roots[0]
         encoder = ReuseEncoder(NEW_ENCODING)
-        encoder.encode_specs([a, a])
+        encode_all(encoder, [a, a])
         hashes = [f for f in encoder.facts if f.predicate == "installed_hash"]
         assert len(hashes) == len({(f.args[0].value, f.args[1].value) for f in hashes})
 
@@ -126,7 +132,7 @@ class TestReuseEncoder:
         spec = Concretizer(repo).solve(["app"]).roots[0]
         assert spec.dependency_edge("cmake") is not None
         encoder = ReuseEncoder(NEW_ENCODING)
-        facts = encoder.encode_specs([spec])
+        facts = encode_all(encoder, [spec])
         dep_facts = [
             f for f in facts
             if f.predicate == "hash_attr" and f.args[1].value == "depends_on"
@@ -140,5 +146,5 @@ class TestReuseEncoder:
 
     def test_node_count(self, cached):
         encoder = ReuseEncoder(NEW_ENCODING)
-        encoder.encode_specs([cached])
+        encode_all(encoder, [cached])
         assert encoder.node_count == len(list(cached.traverse()))

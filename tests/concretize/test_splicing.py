@@ -134,7 +134,7 @@ class TestCanSpliceCompilation:
         """The compiled rule matches hash_attr facts of the target and
         attr facts of the splicing node (Figure 4a)."""
         encoder = Encoder(repo)
-        rules = CanSpliceCompiler(repo, encoder).compile_all()
+        rules = CanSpliceCompiler(repo, encoder).compile_all(repo.names())
         heads = {r.head.predicate for r in rules}
         assert heads == {"can_splice"}
         example_rules = [
