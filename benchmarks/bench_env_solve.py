@@ -114,7 +114,7 @@ def test_batch_solve():
     _record("batch", sample)
     if "seq" in _results:
         speedup = _results["seq"].mean / sample.seconds
-        _headlines["batch_speedup_vs_sequential (target: >=5)"] = speedup
+        _headlines["batch_speedup_vs_sequential"] = speedup
         assert sample.seconds < _results["seq"].mean
     # CI budget knob: the env-solve smoke job pins a fixed wall-clock
     # budget for the whole batch at its reduced root count

@@ -27,66 +27,40 @@ Subpackages:
   Chrome-trace/phase-table exporters every layer reports through
 """
 
-from .spec import (
-    Spec,
-    Version,
-    VersionList,
-    VariantMap,
-    parse,
-    parse_one,
-    tree,
-    SpecError,
-    UnsatisfiableSpecError,
-)
-from .package import (
-    Package,
-    PackageBase,
-    Repository,
-    version,
-    variant,
-    depends_on,
-    provides,
-    conflicts,
-    requires,
-    can_splice,
-)
-from .concretize import Concretizer, ConcretizationResult, UnsatisfiableError
-from .buildcache import BuildCache, greedy_concretize, external_spec
-from .installer import Installer, Database
-from .binary import Loader, MockBinary, check_abi_compatibility
+from ._lazy import export_names, lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Spec",
-    "Version",
-    "VersionList",
-    "VariantMap",
-    "parse",
-    "parse_one",
-    "tree",
-    "SpecError",
-    "UnsatisfiableSpecError",
-    "Package",
-    "PackageBase",
-    "Repository",
-    "version",
-    "variant",
-    "depends_on",
-    "provides",
-    "conflicts",
-    "requires",
-    "can_splice",
-    "Concretizer",
-    "ConcretizationResult",
-    "UnsatisfiableError",
-    "BuildCache",
-    "greedy_concretize",
-    "external_spec",
-    "Installer",
-    "Database",
-    "Loader",
-    "MockBinary",
-    "check_abi_compatibility",
-    "__version__",
-]
+#: re-exports by submodule, imported on first access (see :mod:`repro._lazy`)
+_EXPORTS = {
+    ".spec": (
+        "Spec",
+        "Version",
+        "VersionList",
+        "VariantMap",
+        "parse",
+        "parse_one",
+        "tree",
+        "SpecError",
+        "UnsatisfiableSpecError",
+    ),
+    ".package": (
+        "Package",
+        "PackageBase",
+        "Repository",
+        "version",
+        "variant",
+        "depends_on",
+        "provides",
+        "conflicts",
+        "requires",
+        "can_splice",
+    ),
+    ".concretize": ("Concretizer", "ConcretizationResult", "UnsatisfiableError"),
+    ".buildcache": ("BuildCache", "greedy_concretize", "external_spec"),
+    ".installer": ("Installer", "Database"),
+    ".binary": ("Loader", "MockBinary", "check_abi_compatibility"),
+}
+
+__all__ = export_names(_EXPORTS) + ["__version__"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,28 +1,16 @@
 """Mock binary substrate: ELF-like containers, ABI model, relocation,
 rewiring, and a dynamic-loader simulation."""
 
-from .mockelf import MockBinary, BinaryFormatError, MAGIC
-from .abi import AbiReport, check_abi_compatibility, abi_compatible
-from .relocate import RelocationResult, relocate_binary, relocate_text, pad_prefix
-from .rewire import RewirePlan, RewireError, plan_rewire, rewire_binary
-from .loader import Loader, LoadResult, LoadError
+from .._lazy import export_names, lazy_exports
 
-__all__ = [
-    "MockBinary",
-    "BinaryFormatError",
-    "MAGIC",
-    "AbiReport",
-    "check_abi_compatibility",
-    "abi_compatible",
-    "RelocationResult",
-    "relocate_binary",
-    "relocate_text",
-    "pad_prefix",
-    "RewirePlan",
-    "RewireError",
-    "plan_rewire",
-    "rewire_binary",
-    "Loader",
-    "LoadResult",
-    "LoadError",
-]
+#: re-exports by submodule, imported on first access (see :mod:`repro._lazy`)
+_EXPORTS = {
+    ".mockelf": ("MockBinary", "BinaryFormatError", "MAGIC"),
+    ".abi": ("AbiReport", "check_abi_compatibility", "abi_compatible"),
+    ".relocate": ("RelocationResult", "relocate_binary", "relocate_text", "pad_prefix"),
+    ".rewire": ("RewirePlan", "RewireError", "plan_rewire", "rewire_binary"),
+    ".loader": ("Loader", "LoadResult", "LoadError"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -4,7 +4,7 @@ Two halves:
 
 * :mod:`.cache` — the cache itself: signed, indexed, content-addressed
   binary artifacts with relocation metadata (``BuildCache``), plus the
-  GPG-style trust model (``SigningKey``/``TrustStore``).
+  GPG-style trust model of :mod:`.signing` (``SigningKey``/``TrustStore``).
 * :mod:`.generate` — corpus synthesis for the paper's evaluation: the
   greedy non-ASP concretizer and the local/public cache populations
   (``generate_cache_specs``/``vary_configurations``), plus vendor
@@ -29,54 +29,33 @@ millions-of-users scenarios need):
   publish.
 """
 
-from .backend import (
-    BackendError,
-    LocalFSBackend,
-    MissingBlobError,
-    ReadOnlyBackendError,
-    SimulatedRemoteBackend,
-    StorageBackend,
-    TransientBackendError,
-)
-from .cache import BuildCache, BuildCacheError, CachedPayload, SigningKey, TrustStore
-from .generate import (
-    external_spec,
-    generate_cache_specs,
-    greedy_concretize,
-    vary_configurations,
-)
-from .httpbackend import HTTPBackend
-from .index import IndexFormatError, ShardedIndex
-from .mirror import MirrorGroup
-from .server import BuildCacheHTTPServer, start_server
-from .signing import SignatureError
-from .summary import SortedHashSummary, SummaryFormatError, summary_from_document
+from .._lazy import export_names, lazy_exports
 
-__all__ = [
-    "BuildCache",
-    "BuildCacheError",
-    "CachedPayload",
-    "ShardedIndex",
-    "IndexFormatError",
-    "SortedHashSummary",
-    "SummaryFormatError",
-    "summary_from_document",
-    "BackendError",
-    "MissingBlobError",
-    "TransientBackendError",
-    "ReadOnlyBackendError",
-    "StorageBackend",
-    "LocalFSBackend",
-    "SimulatedRemoteBackend",
-    "HTTPBackend",
-    "BuildCacheHTTPServer",
-    "start_server",
-    "MirrorGroup",
-    "SigningKey",
-    "TrustStore",
-    "SignatureError",
-    "external_spec",
-    "generate_cache_specs",
-    "greedy_concretize",
-    "vary_configurations",
-]
+#: re-exports by submodule, imported on first access (see :mod:`repro._lazy`)
+_EXPORTS = {
+    ".backend": (
+        "BackendError",
+        "LocalFSBackend",
+        "MissingBlobError",
+        "ReadOnlyBackendError",
+        "SimulatedRemoteBackend",
+        "StorageBackend",
+        "TransientBackendError",
+    ),
+    ".cache": ("BuildCache", "BuildCacheError", "CachedPayload"),
+    ".generate": (
+        "external_spec",
+        "generate_cache_specs",
+        "greedy_concretize",
+        "vary_configurations",
+    ),
+    ".httpbackend": ("HTTPBackend",),
+    ".index": ("IndexFormatError", "ShardedIndex"),
+    ".mirror": ("MirrorGroup",),
+    ".server": ("BuildCacheHTTPServer", "start_server"),
+    ".signing": ("SignatureError", "SigningKey", "TrustStore"),
+    ".summary": ("SortedHashSummary", "SummaryFormatError", "summary_from_document"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -208,10 +208,18 @@ class LocalFSBackend(StorageBackend):
         self.name = name or self.root.name or str(self.root)
         self.writable = writable
         self.root.mkdir(parents=True, exist_ok=True)
+        self._resolved_root = self.root.resolve()
+        #: what every path under the root starts with: a sibling such as
+        #: ``cache2`` shares ``cache``'s string prefix, not this one
+        self._under_root = os.path.join(str(self._resolved_root), "")
 
     def _path(self, key: str) -> Path:
-        path = (self.root / key).resolve()
-        if not str(path).startswith(str(self.root.resolve())):
+        """The file ``key`` names; a key whose resolved path is not the
+        root itself or under it (``..`` parts, symlinks out) raises."""
+        path = (self._resolved_root / key).resolve()
+        if path != self._resolved_root and not str(path).startswith(
+            self._under_root
+        ):
             raise BackendError(f"key {key!r} escapes backend root {self.root}")
         return path
 

@@ -49,10 +49,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..binary.mockelf import BinaryFormatError, MockBinary
-from ..binary.relocate import relocate_binary
 from ..obs import metrics, trace
 from ..spec import Spec
 from .backend import (
@@ -62,14 +60,14 @@ from .backend import (
     StorageBackend,
 )
 from .index import BuildCacheError, ShardedIndex
-from .signing import SignatureError, SigningKey, TrustStore, sha256_digest
+
+if TYPE_CHECKING:
+    from .signing import SigningKey, TrustStore
 
 __all__ = [
     "BuildCache",
     "BuildCacheError",
     "CachedPayload",
-    "SigningKey",
-    "TrustStore",
 ]
 
 logger = logging.getLogger(__name__)
@@ -135,6 +133,9 @@ class BuildCache:
         self.trust = trust
         #: reconstruction memo shared across all_specs() calls
         self._materialized: Dict[str, Spec] = {}
+        #: every node built so far, by hash: ``Spec.from_dict``'s memo,
+        #: so a node that many indexed DAGs share is built once
+        self._nodes: Dict[str, Spec] = {}
         with trace.span("buildcache.index_load", cache=backend.describe()) as sp:
             self._index = ShardedIndex(backend)
             sp.set(journal_entries=self._index.journal_entries)
@@ -218,6 +219,7 @@ class BuildCache:
         changed = self._index.refresh()
         if changed:
             self._materialized.clear()
+            self._nodes.clear()
         return changed
 
     def has_payload(self, dag_hash: str) -> bool:
@@ -263,11 +265,18 @@ class BuildCache:
             document = self._index.get_build_spec(dag_hash)
         if document is None:
             raise BuildCacheError(f"unknown spec hash {dag_hash} in buildcache")
-        spec = Spec.from_dict(document, build_spec_lookup=self._materialize)
-        for node in spec.traverse():
-            prefix = self._index.external_prefix(node.dag_hash())
+        # only external nodes have a recorded prefix (see _index_spec)
+        new_externals = [
+            rec["hash"] for rec in document["nodes"]
+            if rec.get("external") and rec["hash"] not in self._nodes
+        ]
+        spec = Spec.from_dict(
+            document, build_spec_lookup=self._materialize, memo=self._nodes
+        )
+        for node_hash in new_externals:
+            prefix = self._index.external_prefix(node_hash)
             if prefix is not None:
-                node.external_prefix = prefix
+                self._nodes[node_hash].external_prefix = prefix
         self._materialized[dag_hash] = spec
         return spec
 
@@ -286,6 +295,8 @@ class BuildCache:
         the journal (fsynced) and replayed on the next open, so a crash
         before ``save_index`` loses nothing.
         """
+        from .signing import sha256_digest
+
         if not spec.concrete:
             raise BuildCacheError(f"cannot push abstract spec {spec}")
         prefix = Path(prefix)
@@ -350,6 +361,7 @@ class BuildCache:
 
             self._index_spec(spec)
             self._materialized.pop(dag_hash, None)
+            self._nodes.clear()
             sp.set(files=len(digests), bytes=payload_bytes)
         metrics.inc("buildcache.pushes")
         metrics.inc("buildcache.pushed_bytes", payload_bytes)
@@ -387,23 +399,6 @@ class BuildCache:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def _verify(self, dag_hash: str) -> None:
-        """Check signature and content digests before trusting an entry
-        (reads payload bytes from disk; the staged pipeline verifies the
-        already-fetched bytes via :meth:`verify_payload` instead)."""
-        assert self.trust is not None
-        with trace.span("buildcache.verify", hash=dag_hash[:7]):
-            files_key = f"{self._entry_key(dag_hash)}/files"
-            try:
-                names, _dirs = self.backend.list_tree(files_key)
-            except MissingBlobError:
-                names = []
-            payload_files = {
-                rel: self.backend.get(f"{files_key}/{rel}") for rel in names
-            }
-            self._verify_files(dag_hash, payload_files)
-        metrics.inc("buildcache.verifications")
-
     def verify_payload(self, payload: CachedPayload) -> CachedPayload:
         """Verify an in-memory payload against its signed manifest."""
         if self.trust is None:
@@ -415,6 +410,8 @@ class BuildCache:
         return payload
 
     def _verify_files(self, dag_hash: str, payload_files: Dict[str, bytes]) -> None:
+        from .signing import SignatureError, sha256_digest
+
         entry = self._entry_key(dag_hash)
         try:
             manifest_bytes = self.backend.get(f"{entry}/manifest.json")
@@ -512,6 +509,9 @@ class BuildCache:
         extra_prefix_map: Optional[Dict[str, str]] = None,
     ) -> Path:
         """Relocate an in-memory payload into ``prefix`` and write it."""
+        from ..binary.mockelf import BinaryFormatError, MockBinary
+        from ..binary.relocate import relocate_binary
+
         if self.trust is not None and not payload.verified:
             self.verify_payload(payload)
         with trace.span(

@@ -122,9 +122,6 @@ class _Shard:
     def table(self, name: str) -> dict:
         return getattr(self, name)
 
-    def is_empty(self) -> bool:
-        return not (self.specs or self.build_specs or self.external_prefixes)
-
     def reset(self) -> None:
         """Drop parsed content (delta reload of an externally changed
         shard); only valid for clean shards — a dirty shard's tables
@@ -200,12 +197,6 @@ class ShardedIndex:
     @property
     def shard_dir(self):
         return self.root / SHARD_DIR if self.root else f"{self._desc}/{SHARD_DIR}"
-
-    @property
-    def journal_path(self):
-        return (
-            self.root / JOURNAL_NAME if self.root else f"{self._desc}/{JOURNAL_NAME}"
-        )
 
     @property
     def manifest_digest(self) -> Optional[str]:

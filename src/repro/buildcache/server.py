@@ -171,13 +171,6 @@ class BuildCacheHTTPServer(ThreadingHTTPServer):
         with self._log_lock:
             self.request_log.append((method, path, status))
 
-    def requests_served(self, method: Optional[str] = None) -> int:
-        with self._log_lock:
-            return sum(
-                1 for m, _p, _s in self.request_log
-                if method is None or m == method
-            )
-
     # -- publish transactions ------------------------------------------
     def begin_txn(self, prefix: str) -> str:
         with self._txn_lock:

@@ -48,40 +48,22 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .binary.discovery import discover_provider_splices
-from .buildcache import BuildCache, BuildCacheError, LocalFSBackend, MirrorGroup
-from .concretize import Concretizer, UnsatisfiableError
-from .installer import InstallError, Installer
 from .obs import (
     configure_logging,
     crash_report,
+    metrics,
     metrics_table,
     phase_table,
+    telemetry_dir,
     trace,
     write_chrome_trace,
     write_crash_report,
 )
-from .obs.regress import BenchDiffError, bench_diff, load_bench
-from .obs.session import (
-    aggregate_sessions,
-    append_session,
-    diff_text,
-    metrics_delta,
-    phase_delta,
-    read_sessions,
-    report_text,
-    resolve_session,
-    session_record,
-    session_text,
-    telemetry_dir,
-)
-from .package.repository import Repository
-from .repos.mock import make_mock_repo
-from .repos.radiuss import make_radiuss_repo
-from .spec import tree
-from .spec.diff import diff_specs
+
+if TYPE_CHECKING:
+    from .package.repository import Repository
 
 __all__ = ["main"]
 
@@ -94,8 +76,12 @@ class CLIError(Exception):
 
 def _load_repo(name: str) -> Repository:
     if name == "mock":
+        from .repos.mock import make_mock_repo
+
         return make_mock_repo()
     if name == "radiuss":
+        from .repos.radiuss import make_radiuss_repo
+
         return make_radiuss_repo()
     path = Path(name)
     if path.is_dir():
@@ -170,6 +156,9 @@ def _open_caches(args) -> list:
     directory basenames are uniquified with ``-2``-style suffixes
     instead: ``--mirror a/cache --mirror b/cache`` is legitimate.
     """
+    from .buildcache.backend import LocalFSBackend
+    from .buildcache.cache import BuildCache, BuildCacheError
+
     entries = []
     if getattr(args, "cache", None):
         entries.append((None, str(args.cache), False))
@@ -218,6 +207,8 @@ def _open_caches(args) -> list:
         except BuildCacheError as e:
             raise CLIError(f"cannot open mirror {label} at {path}: {e}")
     if len(caches) > 1:
+        from .buildcache.mirror import MirrorGroup
+
         return [MirrorGroup(caches)]
     return caches
 
@@ -257,6 +248,9 @@ def _reuse_digest(args, caches):
 
 def cmd_spec(args) -> int:
     """`repro spec`: concretize and print trees, builds, and splices."""
+    from .concretize import Concretizer, UnsatisfiableError
+    from .spec import tree
+
     repo = _load_repo(args.repo)
     caches = _open_caches(args)
     concretizer = Concretizer(
@@ -287,6 +281,9 @@ def cmd_spec(args) -> int:
 
 def cmd_install(args) -> int:
     """`repro install`: concretize then build/extract/rewire into a store."""
+    from .concretize import Concretizer, UnsatisfiableError
+    from .installer import Installer
+
     repo = _load_repo(args.repo)
     caches = _open_caches(args)
     concretizer = Concretizer(
@@ -332,6 +329,9 @@ def cmd_buildcache(args) -> int:
         return _cmd_buildcache_serve(args)
     if not args.cache:
         raise CLIError(f"buildcache {args.action} needs --cache DIR")
+    from .buildcache.cache import BuildCache
+    from .installer import Installer
+
     repo = _load_repo(args.repo)
     cache = BuildCache(Path(args.cache))
     if args.action == "list":
@@ -381,7 +381,7 @@ def _cmd_buildcache_serve(args) -> int:
 
 def cmd_uninstall(args) -> int:
     """`repro uninstall`: remove installs (refuses with dependents)."""
-    from .installer.database import Database
+    from .installer import InstallError, Installer
 
     repo = _load_repo(args.repo)
     installer = Installer(Path(args.store), repo)
@@ -401,6 +401,8 @@ def cmd_uninstall(args) -> int:
 
 def cmd_gc(args) -> int:
     """`repro gc`: drop installs unreachable from explicit roots."""
+    from .installer import Installer
+
     repo = _load_repo(args.repo)
     installer = Installer(Path(args.store), repo)
     removed = installer.gc()
@@ -413,6 +415,8 @@ def cmd_gc(args) -> int:
 
 def cmd_verify(args) -> int:
     """`repro verify`: loader-check every installed binary."""
+    from .installer import Installer
+
     repo = _load_repo(args.repo)
     installer = Installer(Path(args.store), repo)
     problems = installer.verify()
@@ -452,6 +456,8 @@ def cmd_env(args) -> int:
         print(f"roots: {env.roots}")
         return 0
     if args.action == "concretize":
+        from .spec import tree
+
         env.concretize(reusable_specs=_reusable(args, _open_caches(args)))
         env.write()
         for root in env.concrete_roots:
@@ -459,6 +465,8 @@ def cmd_env(args) -> int:
             print()
         return 0
     if args.action == "install":
+        from .installer import Installer
+
         caches = _open_caches(args)
         if not env.concretized:
             env.concretize(reusable_specs=_reusable(args, caches))
@@ -481,6 +489,9 @@ def cmd_env(args) -> int:
 
 def cmd_diff(args) -> int:
     """`repro diff`: concretize two specs and show what differs."""
+    from .concretize import Concretizer, UnsatisfiableError
+    from .spec.diff import diff_specs
+
     repo = _load_repo(args.repo)
     concretizer = Concretizer(repo, reusable_specs=_reusable(args))
     try:
@@ -496,6 +507,7 @@ def cmd_diff(args) -> int:
 def cmd_audit(args) -> int:
     """`repro audit`: static-analysis of the repo, encoding, and stores."""
     from .analysis import AnalysisError, Analyzer, AuditContext, all_checkers
+    from .buildcache.cache import BuildCache, BuildCacheError
 
     if args.list_checks:
         for chk in all_checkers():
@@ -575,6 +587,8 @@ def cmd_obs(args) -> int:
     """`repro obs report|show|diff|bench-diff`: the telemetry verbs."""
     action = args.obs_action
     if action == "bench-diff":
+        from .obs.regress import BenchDiffError, bench_diff, load_bench
+
         try:
             new_doc = load_bench(args.new)
             if args.old is not None:
@@ -605,6 +619,15 @@ def cmd_obs(args) -> int:
             raise CLIError(str(e))
         print(diff.render())
         return 0 if diff.ok else 1
+    from .obs.session import (
+        aggregate_sessions,
+        diff_text,
+        read_sessions,
+        report_text,
+        resolve_session,
+        session_text,
+    )
+
     sessions = read_sessions(_require_telemetry_dir(args))
     if action == "report":
         if args.json:
@@ -631,6 +654,8 @@ def cmd_obs(args) -> int:
 
 def cmd_suggest_splices(args) -> int:
     """`repro suggest-splices`: the automatic ABI-discovery report."""
+    from .binary.discovery import discover_provider_splices
+
     repo = _load_repo(args.repo)
     suggestions = discover_provider_splices(
         repo, args.virtual, include_existing=args.all
@@ -910,8 +935,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     the flight recorder's recent spans, metrics) dumped to the
     telemetry dir; ``-vv`` also prints the traceback.
     """
-    from .obs import metrics
-
     argv_list = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     args = build_parser().parse_args(argv_list)
     verbosity = getattr(args, "verbose", 0)
@@ -991,6 +1014,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
             print(metrics_table())
         if tdir is not None:
+            from .obs.session import (
+                append_session,
+                metrics_delta,
+                phase_delta,
+                session_record,
+            )
+
             try:
                 append_session(
                     tdir,

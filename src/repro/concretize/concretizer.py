@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import gc
 import logging
+import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..asp.api import Control, Model
 from ..asp.parser import parse_program
@@ -22,12 +25,15 @@ from ..asp.syntax import Atom, Program, String
 from ..obs import metrics, trace
 from ..package.repository import Repository
 from ..spec import DEPTYPE_LINK_RUN, Spec, parse_one
-from . import groundcache
+from . import ENV_CACHE_DIR
 from .cansplice import CanSpliceCompiler
 from .encode import Encoder, EncodingError, node_term
 from .extract import ModelExtractor
 from .possible import possible_dependencies
 from .reuse import ReuseEncoder, NEW_ENCODING, OLD_ENCODING
+
+if TYPE_CHECKING:
+    from .groundcache import GroundProgramCache
 
 __all__ = [
     "Concretizer",
@@ -176,7 +182,7 @@ class Concretizer:
         splicing: bool = False,
         default_os: str = "centos8",
         default_target: str = "skylake",
-        ground_cache: Optional[groundcache.GroundProgramCache] = None,
+        ground_cache: Optional[GroundProgramCache] = None,
         reuse_digest: Optional[str] = None,
     ):
         if splicing and encoding != NEW_ENCODING:
@@ -201,12 +207,14 @@ class Concretizer:
             self._cached_children.setdefault(node.name, []).extend(
                 edge.spec.name for edge in node.edges(DEPTYPE_LINK_RUN)
             )
+        if ground_cache is None and os.environ.get(ENV_CACHE_DIR):
+            from .groundcache import default_cache
+
+            ground_cache = default_cache()
         #: exact-key ground-program cache; default resolves from the
         #: environment (REPRO_GROUND_CACHE_DIR) and is OFF otherwise —
         #: fresh-solve timings must stay honest
-        self.ground_cache = (
-            ground_cache if ground_cache is not None else groundcache.default_cache()
-        )
+        self.ground_cache = ground_cache
         #: caller-provided O(1) reuse-set digest (e.g. a buildcache
         #: index's content_digest()); falls back to hashing _by_hash keys
         self._reuse_digest = reuse_digest
@@ -273,6 +281,8 @@ class Concretizer:
         per-package digests, so it is cheap.  The reuse digest is fixed
         per instance (the spec list is copied at construction).
         """
+        from . import groundcache
+
         logic = groundcache.logic_digest(self._logic_names())
         repo = groundcache.repo_digest(self.repo)
         if self._reuse_digest is None:

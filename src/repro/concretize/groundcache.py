@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..buildcache.backend import fsync_write
 from ..obs import metrics
 from ..spec import Spec
+from . import ENV_CACHE_DIR
 
 __all__ = [
     "CACHE_FORMAT",
@@ -54,8 +55,6 @@ logger = logging.getLogger(__name__)
 
 #: on-disk entry layout version; bump on any incompatible change
 CACHE_FORMAT = 1
-
-ENV_CACHE_DIR = "REPRO_GROUND_CACHE_DIR"
 
 LOGIC_DIR = Path(__file__).parent / "logic"
 

@@ -26,7 +26,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .concretize import Concretizer
 from .package.repository import Repository
 from .spec import Spec, parse_one
 
@@ -78,6 +77,8 @@ class Environment:
         self, reusable_specs: Sequence[Spec] = (), encoding: str = "new"
     ) -> List[Spec]:
         """Jointly concretize every root; returns the concrete roots."""
+        from .concretize import Concretizer
+
         if not self.roots:
             raise EnvironmentError("environment has no roots to concretize")
         concretizer = Concretizer(

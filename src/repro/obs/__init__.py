@@ -31,7 +31,9 @@ Chrome trace), ``--profile`` (print the phase table), and ``-v/-vv``
 from __future__ import annotations
 
 import logging
+import os
 import sys
+from pathlib import Path
 from typing import Any, Dict, Optional
 
 from .trace import PhaseStat, Span, Tracer, trace
@@ -78,6 +80,7 @@ __all__ = [
     "reset",
     "configure_logging",
     "SpanContextFilter",
+    "telemetry_dir",
 ]
 
 
@@ -99,6 +102,17 @@ def reset() -> None:
     """Drop all recorded spans and metrics (tests, bench isolation)."""
     trace.clear()
     metrics.reset()
+
+
+def telemetry_dir(flag: Optional[str] = None) -> Optional[Path]:
+    """Resolve the telemetry directory: CLI flag wins, then the
+    ``REPRO_TELEMETRY_DIR`` environment variable; ``None`` = disabled.
+    It lives here, not in :mod:`repro.obs.session`, so a request with
+    telemetry off never imports the session module."""
+    if flag:
+        return Path(flag)
+    env = os.environ.get("REPRO_TELEMETRY_DIR", "").strip()
+    return Path(env) if env else None
 
 
 #: marker attribute so repeated configure_logging calls don't stack handlers

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from . import telemetry_dir  # noqa: F401  (re-exported)
 from .metrics import metrics
 from .trace import trace
 
@@ -56,15 +57,6 @@ __all__ = [
 SESSIONS_FILE = "sessions.jsonl"
 #: rotation threshold for sessions.jsonl (``REPRO_TELEMETRY_MAX_BYTES``)
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024
-
-
-def telemetry_dir(flag: Optional[str] = None) -> Optional[Path]:
-    """Resolve the telemetry directory: CLI flag wins, then the
-    ``REPRO_TELEMETRY_DIR`` environment variable; ``None`` = disabled."""
-    if flag:
-        return Path(flag)
-    env = os.environ.get("REPRO_TELEMETRY_DIR", "").strip()
-    return Path(env) if env else None
 
 
 def _max_bytes() -> int:
@@ -231,21 +223,25 @@ def resolve_session(
     sessions: Sequence[Dict[str, Any]], key: str
 ) -> Dict[str, Any]:
     """Find one session by ``last``, an index (``-1``, ``0``, ...), or
-    an id prefix.  Raises ``LookupError`` with a one-line reason."""
+    an id prefix.  A number in range is an index; one out of range is
+    tried as an id prefix, since ids are hex and may start with digits.
+    Raises ``LookupError`` with a one-line reason."""
     if not sessions:
         raise LookupError("no recorded sessions")
     if key == "last":
         return sessions[-1]
     try:
-        return sessions[int(key)]
+        index: Optional[int] = int(key)
     except ValueError:
-        pass
-    except IndexError:
-        raise LookupError(
-            f"session index {key} out of range (have {len(sessions)})"
-        )
+        index = None
+    if index is not None and -len(sessions) <= index < len(sessions):
+        return sessions[index]
     matches = [s for s in sessions if str(s.get("id", "")).startswith(key)]
     if not matches:
+        if index is not None:
+            raise LookupError(
+                f"session index {key} out of range (have {len(sessions)})"
+            )
         raise LookupError(f"no session with id prefix {key!r}")
     if len(matches) > 1:
         ids = ", ".join(str(s["id"]) for s in matches[:5])

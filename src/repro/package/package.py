@@ -130,10 +130,6 @@ class PackageBase(metaclass=DirectiveMeta):
     def provided_virtuals(cls) -> List[str]:
         return sorted({d.virtual.name for d in cls.provides_decls})
 
-    @classmethod
-    def dependency_names(cls) -> List[str]:
-        return sorted({d.spec.name for d in cls.dependency_decls})
-
     # ------------------------------------------------------------------
     # simulated build description (consumed by repro.installer.builder)
     # ------------------------------------------------------------------

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
-from ..spec import Spec
 from . import directives
 from .package import Package, PackageBase
 from .repository import Repository, RepositoryError
@@ -125,10 +124,6 @@ def dump_repository(repo: Repository, path: Path) -> Path:
 
 def _class_name(package_name: str) -> str:
     return "".join(part.capitalize() for part in package_name.split("-"))
-
-
-def _spec_arg(spec: Optional[Spec]) -> str:
-    return f'"{spec.format(deps=True)}"' if spec is not None else "None"
 
 
 def _render_package(pkg_cls: Type[PackageBase]) -> str:

@@ -20,7 +20,11 @@ from .spec import (
 )
 from .parser import SpecParser, SpecParseError, parse, parse_one
 from .format import format_spec, format_node, tree
-from .diff import SpecDiff, NodeChange, diff_specs
+from .._lazy import lazy_exports
+
+#: only ``repro diff`` compares specs: its module loads on first access
+_LAZY_EXPORTS = {".diff": ("SpecDiff", "NodeChange", "diff_specs")}
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
 
 __all__ = [
     "Version",

@@ -567,16 +567,25 @@ class Spec:
         return {"root": self.dag_hash(), "nodes": nodes}
 
     @staticmethod
-    def from_dict(data: dict, build_spec_lookup=None) -> "Spec":
+    def from_dict(data: dict, build_spec_lookup=None, memo=None) -> "Spec":
         """Reconstruct a concrete spec DAG from :meth:`to_dict` output.
 
         ``build_spec_lookup`` maps hashes to Specs for resolving
         ``build_spec`` provenance pointers across documents.
-        """
-        from .version import VersionList
 
+        ``memo`` (hash -> node) shares nodes across documents: a record
+        whose hash is in it reuses that node, and every node built here
+        is added to it.  A shared node feeds every DAG that names it, so
+        each new node's ``dag_hash()`` must equal the hash its record
+        carries before it enters the memo; a mismatch raises
+        :class:`SpecError`.
+        """
         by_hash: Dict[str, Spec] = {}
         for rec in data["nodes"]:  # post-order: deps before dependents
+            key = rec["hash"]
+            if memo is not None and key in memo:
+                by_hash[key] = memo[key]
+                continue
             node = Spec(
                 rec["name"],
                 VersionList.from_string(rec["versions"]),
@@ -597,7 +606,14 @@ class Spec:
             if bs is not None and build_spec_lookup is not None:
                 node.build_spec = build_spec_lookup(bs["hash"])
             node._concrete = True
-            by_hash[rec["hash"]] = node
+            if memo is not None:
+                if node.dag_hash() != key:
+                    raise SpecError(
+                        f"spec document record {rec['name']} carries hash "
+                        f"{key} but its content hashes to {node.dag_hash()}"
+                    )
+                memo[key] = node
+            by_hash[key] = node
         root = by_hash.get(data["root"])
         if root is None:
             raise SpecError("spec document has no root node")

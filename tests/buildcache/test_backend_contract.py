@@ -119,6 +119,22 @@ class TestByteContract:
         with pytest.raises(BackendError, match="escapes"):
             backend.get("../outside.txt")
 
+    def test_sibling_prefix_key_is_rejected(self, harness, backend):
+        """``../store2/...`` resolves into a sibling whose path starts
+        with the root's path as a string; it escapes all the same."""
+        sibling = harness.root.parent / f"{harness.root.name}2"
+        sibling.mkdir()
+        (sibling / "secret").write_bytes(b"secret")
+        key = f"../{sibling.name}/secret"
+        for op in (
+            lambda: backend.get(key),
+            lambda: backend.exists(key),
+            lambda: backend.put(key, b"overwritten"),
+        ):
+            with pytest.raises(BackendError, match="escapes"):
+                op()
+        assert (sibling / "secret").read_bytes() == b"secret"
+
     def test_read_only_rejects_every_mutation(self, harness):
         ro = harness.make(writable=False)
         for op in (

@@ -121,6 +121,25 @@ class TestIndexPersistence:
         (restored,) = reopened.all_specs()
         assert restored.dag_hash() == zlib.dag_hash()
 
+    def test_all_specs_builds_each_shared_node_once(self, repo, tmp_path):
+        """Two indexed DAGs that share zlib and bzip2 get one node object
+        per hash; a reopened cache returns the same hashes in order."""
+        example = greedy_concretize(repo, "example@1.1.0 ^mpich@3.4.3")
+        cache = BuildCache(tmp_path / "cache")
+        for node in example.traverse():
+            cache.push(node, fake_install(tmp_path / "build" / node.name))
+        cache.save_index()
+        specs = BuildCache(tmp_path / "cache").all_specs()
+        objects = {}
+        for spec in specs:
+            for node in spec.traverse():
+                objects.setdefault(node.dag_hash(), set()).add(id(node))
+        assert len(objects) == len(specs) == 4
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert [s.dag_hash() for s in specs] == sorted(
+            node.dag_hash() for node in example.traverse()
+        )
+
     def test_corrupt_index_is_diagnosed(self, tmp_path):
         root = tmp_path / "cache"
         root.mkdir()

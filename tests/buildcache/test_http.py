@@ -12,6 +12,7 @@ installs, including under concurrent clients and injected faults.
 import hashlib
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -197,6 +198,31 @@ class TestServerProtocol:
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize(
+        "path", ["/../pub2/secret", "/%2e%2e/pub2/secret"]
+    )
+    def test_sibling_escape_is_400_without_bytes(self, tmp_path, path):
+        """A raw request naming a sibling directory that shares the
+        served root's string prefix gets a 400 and none of its bytes."""
+        (tmp_path / "pub").mkdir()
+        (tmp_path / "pub2").mkdir()
+        (tmp_path / "pub2" / "secret").write_bytes(b"sibling-secret")
+        server = start_server(tmp_path / "pub", read_only=True)
+        try:
+            with socket.create_connection((server.host, server.port), 10) as sock:
+                sock.sendall(
+                    f"GET {path} HTTP/1.1\r\nHost: {server.host}\r\n"
+                    "Connection: close\r\n\r\n".encode()
+                )
+                response = b""
+                while chunk := sock.recv(65536):
+                    response += chunk
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"sibling-secret" not in response
 
     def test_5xx_maps_to_transient_error(self, served):
         backend = HTTPBackend(served.url)

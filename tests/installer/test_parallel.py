@@ -1,12 +1,12 @@
 """Parallel-install tests (the spack install -j analogue)."""
 
-import time
+import threading
 
 import pytest
 
 from repro.binary.loader import Loader
 from repro.concretize import Concretizer
-from repro.installer import InstallError, Installer
+from repro.installer import Builder, InstallError, Installer
 from repro.repos.mock import make_mock_repo
 from repro.repos.radiuss import make_radiuss_repo
 
@@ -60,31 +60,39 @@ class TestCorrectness:
         assert len(report.already) == 4
 
 
+def gate_builds(monkeypatch, names):
+    """Hold the builds of the two packages ``names`` at a two-party
+    barrier.  Each passes only when the other is in flight at the same
+    time, so an install that runs them one after the other fails with a
+    broken barrier instead of passing on a lucky clock."""
+    barrier = threading.Barrier(2, timeout=10)
+    build = Builder.build
+
+    def gated(self, spec, prefix, dep_prefix):
+        if spec.name in names:
+            barrier.wait()
+        return build(self, spec, prefix, dep_prefix)
+
+    monkeypatch.setattr(Builder, "build", gated)
+
+
 class TestConcurrency:
-    def test_independent_nodes_overlap(self, tmp_path):
-        """Wide DAGs actually run concurrently: with a scaled build
-        clock, 4 workers beat 1 worker by a wide margin."""
+    def test_independent_nodes_overlap(self, monkeypatch, tmp_path):
+        """Independent leaves of a wide DAG build at the same time:
+        lvarray's leaves blt and cmake must both be in flight at once."""
         repo = make_radiuss_repo()
-        result = Concretizer(repo).solve(["lvarray"])  # raja/umpire/camp fan-out
-        spec = result.roots[0]
+        spec = Concretizer(repo).solve(["lvarray"]).roots[0]
+        gate_builds(monkeypatch, {"blt", "cmake"})
+        installer = Installer(tmp_path / "store", repo)
+        report = installer.install(spec, jobs=8)
+        assert {"blt", "cmake"} <= set(report.built)
 
-        def timed(jobs, where):
-            installer = Installer(tmp_path / where, repo)
-            installer.builder.time_scale = 0.0002  # 0.2 ms per build second
-            start = time.perf_counter()
-            installer.install(spec, jobs=jobs)
-            return time.perf_counter() - start
-
-        serial = timed(1, "serial")
-        parallel = timed(8, "parallel")
-        assert parallel < serial * 0.8, (serial, parallel)
-
-    def test_max_concurrency_observed(self, repo, tmp_path):
+    def test_max_concurrency_observed(self, monkeypatch, repo, tmp_path):
         from repro.installer.parallel import run_parallel_install
 
         result = Concretizer(repo).solve(["tool ^mpich@3.4.3"])
+        gate_builds(monkeypatch, {"bzip2", "zlib"})
         installer = Installer(tmp_path / "store", repo)
-        installer.builder.time_scale = 0.0001
         plan = run_parallel_install(installer, result.roots, jobs=4)
         assert not plan.failed
         assert plan.max_concurrency >= 2, "leaves build simultaneously"

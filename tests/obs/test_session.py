@@ -131,8 +131,15 @@ class TestAppendAndRead:
 
 
 class TestResolve:
-    def _sessions(self, n=4):
-        return [make_record(wall_s=float(i)) for i in range(n)]
+    #: pinned ids: the third starts with eight digits (as about 2.3 % of
+    #: real ids do), the first with an in-range index, none with "99"
+    IDS = ("3f0c2a9e1d7b", "a41be07f9c2d", "90612361c0fe", "e5d4c3b2a190")
+
+    def _sessions(self):
+        sessions = [make_record(wall_s=float(i)) for i in range(len(self.IDS))]
+        for record, session_id in zip(sessions, self.IDS):
+            record["id"] = session_id
+        return sessions
 
     def test_last_and_index(self):
         sessions = self._sessions()
@@ -142,8 +149,16 @@ class TestResolve:
 
     def test_id_prefix(self):
         sessions = self._sessions()
-        target = sessions[2]
+        target = sessions[1]
         assert resolve_session(sessions, target["id"][:8]) is target
+
+    def test_all_digit_id_prefix(self):
+        sessions = self._sessions()
+        assert resolve_session(sessions, "90612361") is sessions[2]
+
+    def test_in_range_index_is_not_an_id_prefix(self):
+        sessions = self._sessions()
+        assert resolve_session(sessions, "3") is sessions[3]
 
     def test_errors_are_lookup_errors(self):
         sessions = self._sessions()

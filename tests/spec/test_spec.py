@@ -209,6 +209,28 @@ class TestCopyAndSerialize:
         with pytest.raises(SpecError):
             Spec.from_dict({"root": "zzz", "nodes": []})
 
+    def test_from_dict_memo_builds_shared_nodes_once(self):
+        z = concrete("z@=1+opt")
+        a = concrete("a@=2", deps=[(z, (DEPTYPE_LINK_RUN,))])
+        b = concrete("b@=3", deps=[(z, (DEPTYPE_LINK_RUN,))])
+        memo = {}
+        first = Spec.from_dict(a.to_dict(), memo=memo)
+        second = Spec.from_dict(b.to_dict(), memo=memo)
+        assert first["z"] is second["z"], "one node for both documents"
+        assert set(memo) == {a.dag_hash(), b.dag_hash(), z.dag_hash()}
+        assert Spec.from_dict(z.to_dict(), memo=memo) is first["z"]
+        assert (first.dag_hash(), second.dag_hash()) == (a.dag_hash(), b.dag_hash())
+
+    def test_from_dict_memo_rejects_a_wrong_record_hash(self):
+        z = concrete("z@=1")
+        a = concrete("a@=2", deps=[(z, (DEPTYPE_LINK_RUN,))])
+        document = a.to_dict()
+        document["nodes"][0]["versions"] = "=9"  # z's record, hash unchanged
+        memo = {}
+        with pytest.raises(SpecError, match="hashes to"):
+            Spec.from_dict(document, memo=memo)
+        assert z.dag_hash() not in memo, "a wrong node is never shared"
+
     def test_validate_concrete(self):
         spec = parse_one("a@=1")
         with pytest.raises(SpecError):
