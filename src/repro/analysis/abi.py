@@ -22,8 +22,8 @@ Codes:
   NEEDED/RPATH entries do not resolve through the loader to the spliced
   dependency's install prefix.
 
-Artifact resolution order per spec: the cache payload's primary library
-(``blobs/<hash>/files/lib/...``), then the installed prefix, then —
+Artifact resolution order per spec: the cache entry's primary library
+(``lib/...`` in ``blobs/<hash>.bundle``), then the installed prefix, then —
 for index-only mirrors that carry no payloads — the package class's
 declared ABI surface (the same data the simulated builds bake into
 binaries, so verdicts agree).
@@ -113,9 +113,9 @@ def _artifact_of(ctx, spec: Spec) -> Tuple[Optional[MockBinary], str]:
         if libs:
             libname = libs[0]
     result: Tuple[Optional[MockBinary], str] = (None, "")
-    if ctx.cache is not None and ctx.cache.has_payload(h):
+    if ctx.cache is not None:
         try:
-            data = ctx.cache.backend.get(f"blobs/{h}/files/lib/{libname}")
+            data = ctx.cache.fetch(h).files[f"lib/{libname}"]
             result = (MockBinary.from_bytes(data), "cache")
         except Exception:
             result = (None, "")

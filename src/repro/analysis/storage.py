@@ -19,15 +19,16 @@ corruption and drift are caught before a consumer trips over them.
   hashes absent (false negatives) or present (phantoms).
 * CACHE004 (note/warning) — journal entries not yet folded into shards
   (note); an unparseable journal line (warning).
-* CACHE005 (error) — blob-entry integrity: a payload file whose bytes
-  do not match the signed manifest (torn blob), missing or mismatched
-  ``meta.json``, files missing from or not covered by the manifest.
-* CACHE006 (warning) — an orphaned blob entry: payload on disk under a
+* CACHE005 (error) — bundle integrity: a bundle that does not parse
+  (non-canonical head, sizes that do not add up, trailing bytes, a
+  misfiled manifest), or whose metadata or a payload file does not
+  match its manifest digest (torn blob).
+* CACHE006 (warning) — an orphaned bundle: an entry on disk under a
   hash the index does not know.
-* CACHE007 — signature problems: an unparseable/malformed
-  ``manifest.sig`` is always an error; with a trust store in the
-  context, a signature that fails HMAC verification is an error and a
-  missing signature is a warning.
+* CACHE007 — signature problems: a malformed signature or an unknown
+  algorithm is always an error; with a trust store in the context, a
+  signature that fails verification (forged, untrusted or misnamed
+  key) is an error and a missing signature is a warning.
 
 ``STORE`` codes (over an install store / ground cache):
 
@@ -330,174 +331,96 @@ def check_journal(ctx) -> Iterable[Diagnostic]:
         )
 
 
-def _blob_hashes(ctx) -> List[str]:
-    from ..buildcache.backend import BackendError, MissingBlobError
+def _bundle_hashes(ctx) -> List[str]:
+    from ..buildcache.backend import BackendError
+    from ..buildcache.cache import BUNDLE_SUFFIX
 
     try:
-        _files, dirs = ctx.cache.backend.list_tree("blobs")
-    except (MissingBlobError, BackendError):
+        files, _dirs = ctx.cache.backend.list_tree("blobs")
+    except BackendError:
         return []
-    return sorted(d for d in dirs if "/" not in d)
+    return sorted(
+        name[: -len(BUNDLE_SUFFIX)]
+        for name in files
+        if "/" not in name and name.endswith(BUNDLE_SUFFIX)
+    )
 
 
 @checker(
     "cache.entries",
     codes=("CACHE005", "CACHE006", "CACHE007"),
     requires=("cache",),
-    description="blob payloads, metadata, and signatures verify",
+    description="bundles parse, and their payloads and signatures verify",
 )
 def check_entries(ctx) -> Iterable[Diagnostic]:
-    from ..buildcache.backend import BackendError, MissingBlobError
-    from ..buildcache.signing import SignatureError
+    from ..buildcache.backend import BuildCacheError
+    from ..buildcache.cache import CachedPayload
+    from ..buildcache.signing import ALGORITHM, SignatureError
 
     indexed: Optional[Set[str]] = None
     try:
         indexed = set(ctx.cache.spec_hash_set())
     except Exception:
         pass  # unreadable index: CACHE001 reports it; skip orphan checks
-    for dag_hash in _blob_hashes(ctx):
-        entry = f"blobs/{dag_hash}"
+    for dag_hash in _bundle_hashes(ctx):
         short = dag_hash[:12]
         if indexed is not None and dag_hash not in indexed:
             yield Diagnostic(
                 "CACHE006",
                 Severity.WARNING,
-                f"blob entry {short} is not in the index (orphaned "
+                f"bundle {short} is not in the index (orphaned "
                 "payload; unreachable by consumers)",
             )
-        manifest_bytes = _get(ctx, f"{entry}/manifest.json")
-        if manifest_bytes is None:
-            yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short} has no manifest.json; nothing about "
-                "its payload can be verified",
-            )
-            continue
         try:
-            manifest = json.loads(manifest_bytes)
-            if not isinstance(manifest, dict):
-                raise ValueError("manifest is not an object")
-        except ValueError as e:
-            yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short} has an unparseable manifest: {e}",
+            payload = CachedPayload.from_bundle(
+                dag_hash, _get(ctx, ctx.cache.entry_key(dag_hash)) or b""
             )
+        except BuildCacheError as e:
+            yield Diagnostic("CACHE005", Severity.ERROR, str(e))
             continue
 
         # signature (CACHE007)
-        sig_bytes = _get(ctx, f"{entry}/manifest.sig")
-        if sig_bytes is not None:
-            signature = None
-            try:
-                signature = json.loads(sig_bytes)
-                if not isinstance(signature, dict):
-                    raise ValueError("signature is not an object")
-                for field in ("key_id", "algorithm", "signature"):
-                    if field not in signature:
-                        raise ValueError(f"missing field {field!r}")
-            except ValueError as e:
-                signature = None
+        signature = payload.signature
+        if signature is not None:
+            missing = [
+                name for name in ("key_id", "algorithm", "signature")
+                if name not in signature
+            ]
+            if missing:
                 yield Diagnostic(
                     "CACHE007",
                     Severity.ERROR,
-                    f"blob entry {short} has a malformed manifest.sig: {e}",
+                    f"bundle {short} has a malformed signature: missing "
+                    f"field(s) {missing}",
                 )
-            if signature is not None and signature.get("algorithm") != (
-                "hmac-sha256"
-            ):
-                # TrustStore.verify never reads the algorithm field, so a
-                # tampered one would otherwise still "verify"
+            elif signature["algorithm"] != ALGORITHM:
+                # without a trust store nothing else reads the field
                 yield Diagnostic(
                     "CACHE007",
                     Severity.ERROR,
-                    f"blob entry {short}: signature declares unknown "
-                    f"algorithm {signature.get('algorithm')!r}",
+                    f"bundle {short}: signature declares unknown "
+                    f"algorithm {signature['algorithm']!r}",
                 )
-            if signature is not None and ctx.trust is not None:
+            elif ctx.trust is not None:
                 try:
-                    ctx.trust.verify(manifest_bytes, signature)
+                    ctx.trust.verify(payload.manifest_bytes(), signature)
                 except SignatureError as e:
                     yield Diagnostic(
                         "CACHE007",
                         Severity.ERROR,
-                        f"blob entry {short} fails signature "
-                        f"verification: {e}",
+                        f"bundle {short} fails signature verification: {e}",
                     )
-                else:
-                    named = [
-                        key
-                        for key in ctx.trust.keys()
-                        if key.key_id == signature.get("key_id")
-                    ]
-                    if named and signature.get("key_name") != named[0].name:
-                        yield Diagnostic(
-                            "CACHE007",
-                            Severity.ERROR,
-                            f"blob entry {short}: signature names key "
-                            f"{signature.get('key_name')!r} but its key_id "
-                            f"belongs to {named[0].name!r}",
-                        )
         elif ctx.trust is not None:
             yield Diagnostic(
                 "CACHE007",
                 Severity.WARNING,
-                f"blob entry {short} is unsigned; consumers with this "
+                f"bundle {short} is unsigned; consumers with this "
                 "trust store will refuse to extract it",
             )
 
-        if manifest.get("hash") != dag_hash:
+        for problem in payload.problems():
             yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short} carries a manifest for "
-                f"{str(manifest.get('hash'))[:12]} (misfiled entry)",
-            )
-        meta_bytes = _get(ctx, f"{entry}/meta.json")
-        if meta_bytes is None:
-            yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short} has no meta.json",
-            )
-        elif _sha(meta_bytes) != manifest.get("meta"):
-            yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short}: meta.json does not match the digest "
-                "its manifest records",
-            )
-
-        expected: Dict[str, str] = dict(manifest.get("files", {}))
-        try:
-            names, _dirs = ctx.cache.backend.list_tree(f"{entry}/files")
-        except (MissingBlobError, BackendError):
-            names = []
-        for rel in names:
-            digest = expected.pop(rel, None)
-            data = _get(ctx, f"{entry}/files/{rel}")
-            if digest is None:
-                yield Diagnostic(
-                    "CACHE005",
-                    Severity.ERROR,
-                    f"blob entry {short}: file {rel!r} is not covered by "
-                    "the manifest",
-                )
-                continue
-            if data is None or _sha(data) != digest:
-                yield Diagnostic(
-                    "CACHE005",
-                    Severity.ERROR,
-                    f"blob entry {short}: payload file {rel!r} does not "
-                    "match its manifest digest (torn or tampered blob)",
-                )
-        for rel in sorted(expected):
-            yield Diagnostic(
-                "CACHE005",
-                Severity.ERROR,
-                f"blob entry {short}: manifest covers {rel!r} but the "
-                "payload does not contain it",
+                "CACHE005", Severity.ERROR, f"bundle {short}: {problem}"
             )
 
 

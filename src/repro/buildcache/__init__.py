@@ -14,7 +14,7 @@ Plus the mirror seam of Section 6's two-cache evaluation:
 
 * :mod:`.backend` — pluggable byte storage under the cache
   (``LocalFSBackend``, ``SimulatedRemoteBackend``) with the durable
-  atomic-write and atomic-publish contracts.
+  atomic-write contract that publishes a whole entry (one bundle).
 * :mod:`.mirror` — ``MirrorGroup``: an ordered list of caches consulted
   first-hit-wins with retry/fallback, pushes going to the primary.
 
@@ -25,8 +25,8 @@ millions-of-users scenarios need):
   pooled ``http.client`` connections with conditional GET, range
   reads, and transient-fault taxonomy.
 * :mod:`.server` — ``repro buildcache serve``: the threaded
-  ``http.server`` process with ETags, ranges, and atomic staged
-  publish.
+  ``http.server`` process with ETags, ranges, and atomic whole-body
+  writes.
 """
 
 from .._lazy import export_names, lazy_exports

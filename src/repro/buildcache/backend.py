@@ -4,10 +4,10 @@ A :class:`BuildCache` is logically "an index plus a blob store"; this
 module makes the *where the bytes live* part pluggable.  Everything the
 cache and its :class:`~repro.buildcache.index.ShardedIndex` persist
 goes through a :class:`StorageBackend` keyed by posix-relative strings
-(``"index.json"``, ``"index.d/ab.json"``, ``"blobs/<hash>/meta.json"``,
-``"blobs/<hash>/files/lib/libz.so"``) instead of touching ``Path``
-directly — the substitutes model of Guix, where a binary mirror is an
-unreliable remote service, not a trusted local disk.
+(``"index.json"``, ``"index.d/ab.json"``, ``"blobs/<hash>.bundle"``)
+instead of touching ``Path`` directly — the substitutes model of Guix,
+where a binary mirror is an unreliable remote service, not a trusted
+local disk.
 
 Two implementations ship:
 
@@ -22,12 +22,11 @@ Two implementations ship:
   read-only mode, so mirror fallback and retry behaviour can be
   exercised deterministically in tests and benchmarks.
 
-The **atomic-publish contract** (:meth:`StorageBackend.publish_tree`)
-is what makes an interrupted ``push`` safe: the entire cache entry —
-payload files *and* ``meta.json``/``manifest.json``/``manifest.sig`` —
-is staged to the side and swapped in last, so a re-push that dies
-mid-copy leaves the previous entry fully intact (old-entry-or-new-entry,
-never a signed manifest over a partial payload).
+A cache entry is one object (a signed bundle, see
+:mod:`repro.buildcache.cache`), so the atomic+durable :meth:`StorageBackend.
+put` is all an interrupted ``push`` needs: a re-push that dies mid-write
+leaves the previous entry fully intact (old-entry-or-new-entry, never a
+signed manifest over a partial payload).
 
 Error taxonomy (all subclasses of :class:`BuildCacheError`, which lives
 here — the lowest-level buildcache module — so every layer above can
@@ -44,11 +43,10 @@ raise and catch it without import cycles):
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "BuildCacheError",
@@ -108,21 +106,27 @@ def fsync_write(path: Path, data: bytes) -> None:
     bytes survive a crash — the contract both the index shards and the
     entry manifests rely on (the journal alone was fsynced before).
     """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    # one temp file per writer: two writers of one key (two server
+    # threads, two publishers) must never rename each other's half
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # a write that fails leaves the old bytes and no temp file
+        tmp.unlink(missing_ok=True)
+        raise
     _fsync_dir(path.parent)
 
 
 class StorageBackend:
     """Byte storage under posix-relative string keys.
 
-    Implementations must make :meth:`put` atomic+durable and
-    :meth:`publish_tree` old-tree-or-new-tree atomic; everything else
-    is plain KV.  ``writable=False`` backends raise
+    Implementations must make :meth:`put` atomic+durable; everything
+    else is plain KV.  ``writable=False`` backends raise
     :class:`ReadOnlyBackendError` from every mutating method.
     """
 
@@ -151,14 +155,13 @@ class StorageBackend:
         raise NotImplementedError
 
     def tree_exists(self, prefix: str) -> bool:
-        """Does anything (even an empty published tree) live under
+        """Does anything (even an empty directory) live under
         ``prefix``?"""
         raise NotImplementedError
 
     def list_tree(self, prefix: str) -> Tuple[List[str], List[str]]:
         """``(files, dirs)`` under ``prefix``, as sorted relative posix
-        paths (dirs includes empty directories so payload trees
-        round-trip exactly)."""
+        paths (dirs includes empty directories)."""
         raise NotImplementedError
 
     # -- writes --------------------------------------------------------
@@ -173,18 +176,6 @@ class StorageBackend:
     def append_line(self, key: str, line: bytes) -> None:
         """Durably append one line to ``key`` (the journal contract:
         fsynced before return, created if absent)."""
-        raise NotImplementedError
-
-    def publish_tree(
-        self,
-        prefix: str,
-        files: Dict[str, bytes],
-        dirs: Sequence[str] = (),
-    ) -> None:
-        """Atomically replace everything under ``prefix`` with the
-        given tree.  Readers observe the previous tree or the new one,
-        never a mixture — and an exception mid-publish leaves the
-        previous tree untouched."""
         raise NotImplementedError
 
     # -- description ---------------------------------------------------
@@ -214,14 +205,24 @@ class LocalFSBackend(StorageBackend):
         self._under_root = os.path.join(str(self._resolved_root), "")
 
     def _path(self, key: str) -> Path:
-        """The file ``key`` names; a key whose resolved path is not the
-        root itself or under it (``..`` parts, symlinks out) raises."""
-        path = (self._resolved_root / key).resolve()
-        if path != self._resolved_root and not str(path).startswith(
-            self._under_root
-        ):
+        """The file ``key`` names.  The key is checked lexically (no
+        empty, ``.`` or ``..`` parts), and the path is resolved only
+        when a component under the resolved root is a symlink, which
+        must not lead out of the root."""
+        parts = key.split("/")
+        if "\0" in key or any(part in ("", ".", "..") for part in parts):
             raise BackendError(f"key {key!r} escapes backend root {self.root}")
-        return path
+        root = probe = str(self._resolved_root)
+        for part in parts:
+            probe = f"{probe}/{part}"
+            if os.path.islink(probe):
+                resolved = os.path.realpath(os.path.join(root, *parts))
+                if resolved != root and not resolved.startswith(self._under_root):
+                    raise BackendError(
+                        f"key {key!r} escapes backend root {self.root}"
+                    )
+                return Path(resolved)
+        return Path(probe)
 
     # -- reads ---------------------------------------------------------
     def get(self, key: str) -> bytes:
@@ -295,50 +296,6 @@ class LocalFSBackend(StorageBackend):
             # despite the fsynced data above (fsync_write already does
             # this for renames; creation needs it just the same)
             _fsync_dir(path.parent)
-
-    # -- atomic publish -----------------------------------------------
-    def _stage_file(self, path: Path, data: bytes) -> None:
-        """One staged write during publish_tree (a test seam: fault
-        injection here models a copy dying mid-push)."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def publish_tree(
-        self,
-        prefix: str,
-        files: Dict[str, bytes],
-        dirs: Sequence[str] = (),
-    ) -> None:
-        self._require_writable()
-        final = self._path(prefix)
-        staging = final.with_name(final.name + ".publish.tmp")
-        previous = final.with_name(final.name + ".publish.old")
-        # heal the (tiny) crash window of a previous publish: the old
-        # tree was moved aside but the new one never landed
-        if previous.exists() and not final.exists():
-            previous.rename(final)
-        for stale in (staging, previous):
-            if stale.exists():
-                shutil.rmtree(stale)
-        staging.mkdir(parents=True)
-        try:
-            for rel in dirs:
-                (staging / rel).mkdir(parents=True, exist_ok=True)
-            for rel, data in files.items():
-                self._stage_file(staging / rel, data)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        # swap: the previous tree stays recoverable until the new one
-        # is in place, so every crash point is old-tree-or-new-tree
-        if final.exists():
-            final.rename(previous)
-        staging.rename(final)
-        _fsync_dir(final.parent)
-        shutil.rmtree(previous, ignore_errors=True)
 
     def describe(self) -> str:
         return str(self.root)
@@ -472,15 +429,6 @@ class SimulatedRemoteBackend(StorageBackend):
     def append_line(self, key: str, line: bytes) -> None:
         self._enter_write("append_line")
         self.inner.append_line(key, line)
-
-    def publish_tree(
-        self,
-        prefix: str,
-        files: Dict[str, bytes],
-        dirs: Sequence[str] = (),
-    ) -> None:
-        self._enter_write("publish_tree")
-        self.inner.publish_tree(prefix, files, dirs)
 
     def describe(self) -> str:
         return f"{self.name}({self.inner.describe()})"

@@ -8,48 +8,57 @@ relocate that payload into any consumer store.
 On-disk layout (one directory per cache)::
 
     <cache>/
-      index.json                  -- manifest of shards (format v2)
+      index.json                  -- manifest of shards (format v3)
+      index.sum.json              -- exact per-shard hash tables
       index.d/<pp>.json           -- per-hash-prefix index shards
       journal.jsonl               -- pushes not yet folded into shards
-      blobs/<dag_hash>/
-        files/...                 -- verbatim copy of the install prefix
-        meta.json                 -- recorded prefix + dependency prefixes
-        manifest.json             -- sha256 digest of meta + every file
-        manifest.sig              -- detached HMAC signature (if signed)
+      blobs/<dag_hash>.bundle     -- one cache entry, one object
 
 The *index* answers "which specs does this mirror serve" without
 touching any blob (what Spack's ``index.json`` does for a mirror) and
 is sharded by hash prefix so single-spec lookups parse one shard, not
-20k specs (see :mod:`repro.buildcache.index`); the per-entry *meta*
-records the prefixes needed for relocation; the *manifest* +
-*signature* implement the GPG-style trust model (see
-:mod:`repro.buildcache.signing`).
+20k specs (see :mod:`repro.buildcache.index`).
 
-The extract path is staged — :meth:`BuildCache.fetch` (blob bytes into
-memory), :meth:`BuildCache.verify_payload` (signature + digests over
-those bytes), :meth:`BuildCache.extract_payload` (relocate + write) —
-so the installer's fetch pipeline can overlap the stages of independent
-DAG nodes; :meth:`BuildCache.extract` composes all three for the
-serial callers.
+A **bundle** is a whole cache entry in one object, like a Guix
+substitute: a head line, then the payload files' bytes back to back::
+
+    {"format":1,"manifest":{...},"meta":{...},"signature":{...}}\n
+    <bytes of each manifest file, in the manifest's order>
+
+The *meta* records the prefixes needed for relocation; the *manifest*
+records the meta digest, each payload file's size and sha256, and the
+payload's directories; the *signature* (``null`` in an unsigned cache)
+is an HMAC over the manifest (see :mod:`repro.buildcache.signing`).
+Every JSON part uses one canonical form, and a reader ignores no byte:
+a head that is not byte-identical to its canonical form, sizes that do
+not add up to the bundle's length, and trailing bytes are all rejected,
+so any single-byte change to a signed bundle fails verification.
+
+The extract path is staged — :meth:`BuildCache.fetch` (one backend
+``get``), :meth:`BuildCache.verify_payload` (signature + digests over
+those bytes, no backend call), :meth:`BuildCache.extract_payload`
+(relocate + write) — so the installer's fetch pipeline can overlap the
+stages of independent DAG nodes; :meth:`BuildCache.extract` composes
+all three for the serial callers.
 
 All storage I/O goes through a :class:`~repro.buildcache.backend.
 StorageBackend` (a local directory by default), so the same cache
-logic runs against a simulated flaky remote or any future S3/HTTP
-backend, and several caches compose into an ordered mirror list via
-:class:`~repro.buildcache.mirror.MirrorGroup`.  A push publishes the
-*entire* entry (payload + metadata + manifest + signature) through the
-backend's atomic-publish contract, so an interrupted re-push leaves
-the previous entry fully intact — never a signed manifest over a
-partial payload.
+logic runs against a simulated flaky remote or an HTTP server, and
+several caches compose into an ordered mirror list via
+:class:`~repro.buildcache.mirror.MirrorGroup`.  A push writes the
+bundle with one atomic, durable ``put``, so an interrupted re-push
+leaves the previous entry fully intact — never a signed manifest over
+a partial payload.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..obs import metrics, trace
 from ..spec import Spec
@@ -73,15 +82,36 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 INDEX_NAME = "index.json"
+BUNDLE_FORMAT = 1
+BUNDLE_SUFFIX = ".bundle"
+
+#: the exact keys of a bundle head, its manifest, and a manifest file entry
+_HEAD_KEYS = {"format", "manifest", "meta", "signature"}
+_MANIFEST_KEYS = {"dirs", "files", "hash", "meta"}
+_FILE_KEYS = {"sha256", "size"}
 
 
-def _canonical(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True, indent=1).encode()
+def _canonical(document) -> bytes:
+    """The one serialization of every JSON part of a bundle: sorted
+    keys, no whitespace, ASCII only (so it never holds a newline)."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _relative(path) -> bool:
+    """Is ``path`` a plain relative posix path that stays in its root?"""
+    return (
+        isinstance(path, str)
+        and all(part not in ("", ".", "..") for part in path.split("/"))
+    )
 
 
 @dataclass
 class CachedPayload:
-    """One cache entry fetched into memory, ready to verify and extract."""
+    """One cache entry in memory: manifest, signature, meta and payload."""
 
     dag_hash: str
     meta: dict
@@ -89,6 +119,11 @@ class CachedPayload:
     files: Dict[str, bytes] = field(default_factory=dict)
     #: payload-relative posix paths of directories (preserves empty dirs)
     dirs: List[str] = field(default_factory=list)
+    #: ``{"hash", "meta": sha256, "files": {path: {"sha256", "size"}},
+    #: "dirs"}``: everything extraction uses, under the signature
+    manifest: dict = field(default_factory=dict)
+    #: the publisher's signature over the canonical manifest, or None
+    signature: Optional[dict] = None
     #: set by :meth:`BuildCache.verify_payload`
     verified: bool = False
     #: label of the cache/mirror that served this payload (attribution
@@ -98,6 +133,99 @@ class CachedPayload:
     @property
     def size(self) -> int:
         return sum(len(data) for data in self.files.values())
+
+    def manifest_bytes(self) -> bytes:
+        """The bytes the signature covers: the canonical manifest."""
+        return _canonical(self.manifest)
+
+    def to_bundle(self) -> bytes:
+        """The entry as one bundle (see the module docstring)."""
+        head = {
+            "format": BUNDLE_FORMAT,
+            "manifest": self.manifest,
+            "meta": self.meta,
+            "signature": self.signature,
+        }
+        files = [self.files[rel] for rel in sorted(self.manifest["files"])]
+        return b"".join([_canonical(head), b"\n"] + files)
+
+    @classmethod
+    def from_bundle(cls, dag_hash: str, data: bytes) -> "CachedPayload":
+        """Parse a bundle, ignoring no byte; :class:`BuildCacheError`
+        for anything that is not exactly what :meth:`to_bundle` writes
+        for ``dag_hash``."""
+        try:
+            return cls._parse(dag_hash, data)
+        except ValueError as e:  # JSON, UTF-8 and structure errors alike
+            raise BuildCacheError(
+                f"cache entry {dag_hash} has a corrupt bundle: {e}"
+            ) from None
+
+    @classmethod
+    def _parse(cls, dag_hash: str, data: bytes) -> "CachedPayload":
+        end = data.find(b"\n")
+        if end < 0:
+            raise ValueError("no head line")
+        head = json.loads(data[:end])
+        if not isinstance(head, dict) or set(head) != _HEAD_KEYS:
+            raise ValueError(f"the head does not hold exactly {sorted(_HEAD_KEYS)}")
+        if _canonical(head) != data[:end]:
+            raise ValueError("the head is not in canonical form")
+        if type(head["format"]) is not int or head["format"] != BUNDLE_FORMAT:
+            raise ValueError(f"format {head['format']!r} is not supported")
+        manifest, meta = head["manifest"], head["meta"]
+        signature = head["signature"]
+        if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS or (
+            not isinstance(manifest["files"], dict)
+        ):
+            raise ValueError("malformed manifest")
+        if manifest["hash"] != dag_hash:
+            raise ValueError(
+                f"it carries the manifest of {str(manifest['hash'])[:12]} "
+                "(misfiled entry)"
+            )
+        if not isinstance(meta, dict) or not isinstance(manifest["meta"], str):
+            raise ValueError("malformed metadata")
+        if signature is not None and not (
+            isinstance(signature, dict)
+            and all(isinstance(v, str) for v in signature.values())
+        ):
+            raise ValueError("malformed signature")
+        dirs = manifest["dirs"]
+        if not isinstance(dirs, list) or not all(_relative(d) for d in dirs):
+            raise ValueError("malformed directory list")
+        payload = cls(
+            dag_hash, meta, dirs=list(dirs), manifest=manifest,
+            signature=signature,
+        )
+        offset = end + 1
+        for rel, entry in manifest["files"].items():
+            if not _relative(rel) or not isinstance(entry, dict) or (
+                set(entry) != _FILE_KEYS
+            ):
+                raise ValueError(f"malformed manifest entry {rel!r}")
+            size = entry["size"]
+            if type(size) is not int or size < 0 or offset + size > len(data):
+                raise ValueError(f"file {rel!r} overruns the bundle")
+            payload.files[rel] = data[offset:offset + size]
+            offset += size
+        if offset != len(data):
+            raise ValueError(f"{len(data) - offset} trailing byte(s)")
+        return payload
+
+    def problems(self) -> List[str]:
+        """Where the meta or a payload file does not match its manifest
+        digest (empty for an intact entry)."""
+        found = []
+        if _sha256(_canonical(self.meta)) != self.manifest["meta"]:
+            found.append("metadata does not match its manifest")
+        for rel, entry in self.manifest["files"].items():
+            if _sha256(self.files[rel]) != entry["sha256"]:
+                found.append(
+                    f"payload file {rel!r} does not match its manifest "
+                    "digest (torn or tampered)"
+                )
+        return found
 
 
 class BuildCache:
@@ -157,8 +285,8 @@ class BuildCache:
         return self.root / INDEX_NAME if self.root else f"{self.label}/{INDEX_NAME}"
 
     @staticmethod
-    def _entry_key(dag_hash: str) -> str:
-        return f"blobs/{dag_hash}"
+    def entry_key(dag_hash: str) -> str:
+        return f"blobs/{dag_hash}{BUNDLE_SUFFIX}"
 
     # ------------------------------------------------------------------
     # index persistence
@@ -222,24 +350,6 @@ class BuildCache:
             self._nodes.clear()
         return changed
 
-    def has_payload(self, dag_hash: str) -> bool:
-        """Is the binary payload itself present (not just indexed)?"""
-        return self.backend.tree_exists(f"{self._entry_key(dag_hash)}/files")
-
-    def meta(self, dag_hash: str) -> dict:
-        key = f"{self._entry_key(dag_hash)}/meta.json"
-        try:
-            return json.loads(self.backend.get(key))
-        except MissingBlobError:
-            raise BuildCacheError(
-                f"cache entry {dag_hash} has no metadata ({key} missing "
-                f"from {self.label})"
-            ) from None
-        except json.JSONDecodeError as e:
-            raise BuildCacheError(
-                f"cache entry {dag_hash} has corrupt metadata: {e}"
-            ) from e
-
     def all_specs(self) -> List[Spec]:
         """Every indexed spec, reconstructed as a concrete DAG.
 
@@ -291,12 +401,11 @@ class BuildCache:
         rewrite dependency references for the consumer's store layout.
         Re-pushing an existing hash is an idempotent overwrite.
 
-        The push is durable on its own: the index entry is appended to
-        the journal (fsynced) and replayed on the next open, so a crash
-        before ``save_index`` loses nothing.
+        The entry is one bundle written with one atomic, durable
+        ``put``: a crash mid-push leaves the previous entry intact.  The
+        index entry is appended to the journal (fsynced) and replayed
+        on the next open, so a crash before ``save_index`` loses nothing.
         """
-        from .signing import sha256_digest
-
         if not spec.concrete:
             raise BuildCacheError(f"cannot push abstract spec {spec}")
         prefix = Path(prefix)
@@ -306,53 +415,33 @@ class BuildCache:
             )
         dag_hash = spec.dag_hash()
         with trace.span("buildcache.push", name=spec.name, hash=dag_hash[:7]) as sp:
-            # Read the install tree into memory first, then publish the
-            # whole entry (payload + meta + manifest + signature) through
-            # the backend's atomic-publish contract: a crash mid-push
-            # leaves the previous entry fully intact.
-            entry_files: Dict[str, bytes] = {}
-            entry_dirs: List[str] = ["files"]
-            digests: Dict[str, str] = {}
-            payload_bytes = 0
-            for path in sorted(prefix.rglob("*")):
-                rel = path.relative_to(prefix).as_posix()
-                if path.is_dir():
-                    entry_dirs.append(f"files/{rel}")
-                elif path.is_file():
-                    data = path.read_bytes()
-                    payload_bytes += len(data)
-                    entry_files[f"files/{rel}"] = data
-                    digests[rel] = sha256_digest(data)
-
-            meta = {
+            payload = CachedPayload(dag_hash, meta={
                 "name": spec.name,
                 "version": str(spec.version),
                 "hash": dag_hash,
                 "prefix": str(prefix),
                 "dep_prefixes": dict(dep_prefixes or {}),
                 "spliced": spec.spliced,
-            }
-            meta_bytes = _canonical(meta)
-            entry_files["meta.json"] = meta_bytes
-
-            manifest = {
+            })
+            for path in sorted(prefix.rglob("*")):
+                rel = path.relative_to(prefix).as_posix()
+                if path.is_dir():
+                    payload.dirs.append(rel)
+                elif path.is_file():
+                    payload.files[rel] = path.read_bytes()
+            payload.manifest = {
                 "hash": dag_hash,
-                "meta": sha256_digest(meta_bytes),
-                "files": digests,
+                "meta": _sha256(_canonical(payload.meta)),
+                "files": {
+                    rel: {"sha256": _sha256(data), "size": len(data)}
+                    for rel, data in payload.files.items()
+                },
+                "dirs": payload.dirs,
             }
-            manifest_bytes = _canonical(manifest)
-            entry_files["manifest.json"] = manifest_bytes
             if self.signing_key is not None:
-                entry_files["manifest.sig"] = _canonical(
-                    self.signing_key.sign(manifest_bytes)
-                )
-            # no signing key: the published tree simply carries no
-            # manifest.sig — a stale signature can never survive a re-push
-
+                payload.signature = self.signing_key.sign(payload.manifest_bytes())
             try:
-                self.backend.publish_tree(
-                    self._entry_key(dag_hash), entry_files, entry_dirs
-                )
+                self.backend.put(self.entry_key(dag_hash), payload.to_bundle())
             except ReadOnlyBackendError as e:
                 raise BuildCacheError(
                     f"cannot push {spec.name} to read-only cache "
@@ -362,12 +451,13 @@ class BuildCache:
             self._index_spec(spec)
             self._materialized.pop(dag_hash, None)
             self._nodes.clear()
-            sp.set(files=len(digests), bytes=payload_bytes)
+            sp.set(files=len(payload.files), bytes=payload.size)
         metrics.inc("buildcache.pushes")
-        metrics.inc("buildcache.pushed_bytes", payload_bytes)
+        metrics.inc("buildcache.pushed_bytes", payload.size)
         logger.debug(
             "pushed %s/%s: %d files, %d bytes in %.4fs",
-            spec.name, dag_hash[:7], len(digests), payload_bytes, sp.duration,
+            spec.name, dag_hash[:7], len(payload.files), payload.size,
+            sp.duration,
         )
 
     def _index_spec(self, spec: Spec) -> None:
@@ -397,109 +487,54 @@ class BuildCache:
         self._index.record_push(specs, build_specs, external_prefixes)
 
     # ------------------------------------------------------------------
-    # verification
-    # ------------------------------------------------------------------
-    def verify_payload(self, payload: CachedPayload) -> CachedPayload:
-        """Verify an in-memory payload against its signed manifest."""
-        if self.trust is None:
-            return payload
-        with trace.span("buildcache.verify", hash=payload.dag_hash[:7]):
-            self._verify_files(payload.dag_hash, payload.files)
-        payload.verified = True
-        metrics.inc("buildcache.verifications")
-        return payload
-
-    def _verify_files(self, dag_hash: str, payload_files: Dict[str, bytes]) -> None:
-        from .signing import SignatureError, sha256_digest
-
-        entry = self._entry_key(dag_hash)
-        try:
-            manifest_bytes = self.backend.get(f"{entry}/manifest.json")
-        except MissingBlobError:
-            raise BuildCacheError(
-                f"cache entry {dag_hash} has no manifest — refusing to extract"
-            ) from None
-        signature = None
-        if self.backend.exists(f"{entry}/manifest.sig"):
-            try:
-                signature = json.loads(self.backend.get(f"{entry}/manifest.sig"))
-            except (MissingBlobError, json.JSONDecodeError) as e:
-                raise BuildCacheError(
-                    f"cache entry {dag_hash} has a corrupt signature: {e}"
-                ) from e
-        try:
-            self.trust.verify(manifest_bytes, signature)
-        except SignatureError as e:
-            raise BuildCacheError(f"cache entry {dag_hash}: {e}") from e
-
-        try:
-            manifest = json.loads(manifest_bytes)
-        except json.JSONDecodeError as e:
-            raise BuildCacheError(
-                f"cache entry {dag_hash} has a corrupt manifest: {e}"
-            ) from e
-        try:
-            meta_bytes = self.backend.get(f"{entry}/meta.json")
-        except MissingBlobError:
-            # a manifest without its meta.json is a torn/corrupt entry,
-            # not a crash-worthy FileNotFoundError
-            raise BuildCacheError(
-                f"cache entry {dag_hash} has no metadata ({entry}/meta.json "
-                "missing) — refusing to extract"
-            ) from None
-        if sha256_digest(meta_bytes) != manifest.get("meta"):
-            raise BuildCacheError(
-                f"cache entry {dag_hash}: metadata does not match its manifest"
-            )
-        expected: Dict[str, str] = dict(manifest.get("files", {}))
-        for rel, data in payload_files.items():
-            digest = expected.pop(rel, None)
-            if digest is None:
-                raise BuildCacheError(
-                    f"cache entry {dag_hash}: unexpected file {rel!r} "
-                    "not covered by the signed manifest"
-                )
-            if sha256_digest(data) != digest:
-                raise BuildCacheError(
-                    f"cache entry {dag_hash}: payload file {rel!r} was "
-                    "tampered with after signing"
-                )
-        if expected:
-            missing = ", ".join(sorted(expected))
-            raise BuildCacheError(
-                f"cache entry {dag_hash}: signed payload files missing: {missing}"
-            )
-
-    # ------------------------------------------------------------------
-    # staged fetch / extract
+    # staged fetch / verify / extract
     # ------------------------------------------------------------------
     def fetch(self, dag_hash: str) -> CachedPayload:
-        """Read a cache entry's metadata and payload bytes into memory.
+        """Read one cache entry into memory: one backend ``get``.
 
         This is the I/O stage of the pipelined install path: it has no
         ordering requirements, so the installer prefetches independent
         DAG nodes concurrently while earlier nodes are still extracting.
+        A missing bundle raises :class:`MissingBlobError` (a miss: try
+        the next cache, then build); a corrupt one raises
+        :class:`BuildCacheError`.
         """
-        meta = self.meta(dag_hash)  # raises BuildCacheError when absent
-        files_key = f"{self._entry_key(dag_hash)}/files"
-        with trace.span(
-            "buildcache.fetch", name=meta.get("name"), hash=dag_hash[:7]
-        ) as sp:
+        with trace.span("buildcache.fetch", hash=dag_hash[:7]) as sp:
             try:
-                names, dirs = self.backend.list_tree(files_key)
+                data = self.backend.get(self.entry_key(dag_hash))
             except MissingBlobError:
-                raise BuildCacheError(
-                    f"cache entry {dag_hash} has no payload"
+                raise MissingBlobError(
+                    f"cache entry {dag_hash} has no bundle in {self.label}"
                 ) from None
-            payload = CachedPayload(
-                dag_hash=dag_hash, meta=meta, source=self.label
+            payload = CachedPayload.from_bundle(dag_hash, data)
+            payload.source = self.label
+            sp.set(
+                name=payload.meta.get("name"), files=len(payload.files),
+                bytes=payload.size,
             )
-            payload.dirs = sorted(dirs)
-            for rel in sorted(names):
-                payload.files[rel] = self.backend.get(f"{files_key}/{rel}")
-            sp.set(files=len(payload.files), bytes=payload.size)
         metrics.inc("buildcache.fetches")
         metrics.inc("buildcache.fetched_bytes", payload.size)
+        return payload
+
+    def verify_payload(self, payload: CachedPayload) -> CachedPayload:
+        """Check a fetched entry's signature and digests against the
+        trust store (a no-op without one); no backend call."""
+        if self.trust is None:
+            return payload
+        from .signing import SignatureError
+
+        with trace.span("buildcache.verify", hash=payload.dag_hash[:7]):
+            try:
+                self.trust.verify(payload.manifest_bytes(), payload.signature)
+            except SignatureError as e:
+                raise BuildCacheError(f"cache entry {payload.dag_hash}: {e}") from e
+            problems = payload.problems()
+            if problems:
+                raise BuildCacheError(
+                    f"cache entry {payload.dag_hash}: {problems[0]}"
+                )
+        payload.verified = True
+        metrics.inc("buildcache.verifications")
         return payload
 
     def extract_payload(

@@ -25,13 +25,10 @@ content-addressed GET/PUT protocol), over stdlib :mod:`http.client`:
   :class:`~repro.buildcache.backend.MissingBlobError`; 403 (a
   ``--read-only`` server) is :class:`~repro.buildcache.backend.
   ReadOnlyBackendError`.
-* **atomic publish** — :meth:`HTTPBackend.publish_tree` opens a
-  staged-publish transaction, uploads the parts in parallel (multiple
-  pooled connections), and commits last; the server swaps the staged
-  tree in through its local backend's old-tree-or-new-tree publish, so
-  the client-visible contract matches ``LocalFSBackend`` byte for
-  byte.  Any failed part aborts the transaction — the previous entry
-  survives untouched.
+* **atomic writes** — a ``PUT`` lands through the server's
+  ``LocalFSBackend.put`` (tmp write, fsync, rename), and the server
+  stores nothing from a body shorter than its ``Content-Length``; a
+  cache entry is one bundle, so one ``PUT`` publishes it whole.
 
 Every request runs under a ``buildcache.http_request`` span and bumps
 ``buildcache.http_requests`` (obs schema 9; see docs/observability.md).
@@ -44,8 +41,7 @@ import json
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import quote, urlsplit
 
 from ..obs import metrics, trace
@@ -339,70 +335,6 @@ class HTTPBackend(StorageBackend):
         )
         if status != 200:
             raise self._unexpected(status, "POST", key, payload)
-
-    # ------------------------------------------------------------------
-    # atomic publish: begin -> parallel staged parts -> commit
-    # ------------------------------------------------------------------
-    def _stage_part(self, prefix: str, txn: str, rel: str, data: bytes) -> None:
-        """Upload one staged file (a test seam: fault injection here
-        models an upload dying mid-publish)."""
-        status, _headers, payload = self._request(
-            "PUT", prefix, query=f"op=stage&txn={quote(txn)}&path={quote(rel)}",
-            body=data,
-        )
-        if status != 200:
-            raise self._unexpected(status, "PUT", f"{prefix}#{rel}", payload)
-
-    def publish_tree(
-        self,
-        prefix: str,
-        files: Dict[str, bytes],
-        dirs: Sequence[str] = (),
-    ) -> None:
-        self._require_writable()
-        status, _headers, payload = self._request(
-            "POST", prefix, query="op=publish-begin"
-        )
-        if status != 200:
-            raise self._unexpected(status, "POST", prefix, payload)
-        txn = str(json.loads(payload)["txn"])
-        with trace.span(
-            "buildcache.http_publish", prefix=prefix, files=len(files)
-        ) as sp:
-            try:
-                workers = min(self.pool_size, max(len(files), 1))
-                if workers > 1:
-                    with ThreadPoolExecutor(
-                        max_workers=workers, thread_name_prefix="http-publish"
-                    ) as pool:
-                        futures = [
-                            pool.submit(self._stage_part, prefix, txn, rel, data)
-                            for rel, data in files.items()
-                        ]
-                        for future in futures:
-                            future.result()
-                else:
-                    for rel, data in files.items():
-                        self._stage_part(prefix, txn, rel, data)
-                body = json.dumps({"dirs": list(dirs)}).encode()
-                status, _headers, payload = self._request(
-                    "POST", prefix, query=f"op=publish-commit&txn={quote(txn)}",
-                    body=body,
-                )
-                if status != 200:
-                    raise self._unexpected(status, "POST", prefix, payload)
-            except BaseException:
-                # best-effort abort: the server's previous tree is
-                # intact either way (nothing swapped before commit)
-                try:
-                    self._request(
-                        "POST", prefix,
-                        query=f"op=publish-abort&txn={quote(txn)}",
-                    )
-                except BackendError:
-                    pass
-                raise
-            sp.set(bytes=sum(len(d) for d in files.values()))
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

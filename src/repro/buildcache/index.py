@@ -32,12 +32,12 @@ every shard of every mirror.
   sorted table of each shard's spec hashes; see
   :mod:`repro.buildcache.summary`) written atomically before
   ``index.json``, which records the sha256 of the sidecar's bytes.
-  Negative lookups are answered from the summary in O(1) without
-  loading any shard, and the whole spec-hash set enumerates from the
-  summary alone, so a mirror union never parses a shard.  A sidecar
-  whose bytes do not hash to the manifest's record (a crash between
-  the two writes, a foreign writer, a flipped byte) is ignored —
-  summaries make lookups faster, never wrong.
+  Membership lookups, hits and misses alike, are answered from the
+  summary without loading any shard, and the whole spec-hash set
+  enumerates from the summary alone, so a mirror union never parses a
+  shard.  A sidecar whose bytes do not hash to the manifest's record (a
+  crash between the two writes, a foreign writer, a flipped byte) is
+  ignored — summaries make lookups faster, never wrong.
 
 v1 monolithic and v2 digest-less manifests are read transparently and
 migrate to v3 on the next ``save``; ``save`` only ever writes v3.
@@ -144,8 +144,8 @@ class ShardedIndex:
     per-shard summaries.
 
     All reads go through per-hash accessors so only the shards hosting
-    the requested hashes are parsed; negative ``has_spec`` probes are
-    answered from the summary sidecar without touching any shard, and
+    the requested hashes are parsed; ``has_spec`` probes are answered
+    from the summary sidecar without touching any shard, and
     ``load_all`` remains for consumers that need full documents.
     Thread safe: the parallel installer's fetch workers probe
     ``has_spec`` concurrently.
@@ -558,10 +558,9 @@ class ShardedIndex:
             return self._summaries
 
     def summary_probe(self, dag_hash: str) -> Optional[bool]:
-        """What the summary says about ``dag_hash``: ``False`` =
-        provably absent from the shard's saved content, ``True`` =
-        maybe present (confirm with a shard read), ``None`` = no usable
-        summary for that shard."""
+        """What the summary says about ``dag_hash``: whether it is in
+        the shard's saved content, or ``None`` when that shard has no
+        usable summary."""
         prefix = self.shard_prefix(dag_hash)
         summaries = self._load_summaries()
         entry = summaries.get(prefix)
@@ -573,6 +572,10 @@ class ShardedIndex:
     # reads
     # ------------------------------------------------------------------
     def has_spec(self, dag_hash: str) -> bool:
+        """Is ``dag_hash`` indexed?  An unparsed shard is answered from
+        its summary in both directions: the sidecar is the exact hash
+        set of the saved shard, its bytes are pinned by the manifest's
+        ``summary_sha256``, and the index only ever adds hashes."""
         prefix = self.shard_prefix(dag_hash)
         with self._lock:
             shard = self._shards.get(prefix)
@@ -583,16 +586,11 @@ class ShardedIndex:
                     return False
             if prefix not in self._on_disk:
                 return False
-        # the shard exists on disk but is not parsed: let the summary
-        # answer the (common) negative case without any shard read
         verdict = self.summary_probe(dag_hash)
-        if verdict is False:
+        if verdict is not None:
             metrics.inc("buildcache.summary_hits")
-            return False
-        present = self.get_spec(dag_hash) is not None
-        if verdict is True and not present:
-            metrics.inc("buildcache.summary_false_positives")
-        return present
+            return verdict
+        return self.get_spec(dag_hash) is not None
 
     def get_spec(self, dag_hash: str) -> Optional[dict]:
         shard = self._ensure_loaded(dag_hash)

@@ -7,8 +7,8 @@ a small local buildcache and a ~20k-spec public one.  A
 :class:`MirrorGroup` composes any number of :class:`~repro.buildcache.
 cache.BuildCache` instances into one cache-shaped object:
 
-* **reads** (``in`` / ``meta`` / ``fetch`` / ``has_payload``) are
-  first-hit-wins down the mirror list;
+* **reads** (``in`` / ``fetch``) are first-hit-wins down the mirror
+  list;
 * ``all_specs`` is the union over all mirrors, de-duplicated by
   ``dag_hash`` with the *first* mirror that indexes a hash winning —
   so the concretizer's reuse corpus spans every mirror;
@@ -18,10 +18,12 @@ cache.BuildCache` instances into one cache-shaped object:
   backend.TransientBackendError`, e.g. a simulated timeout) is retried
   with exponential backoff, then the group *degrades* to the next
   mirror instead of failing the install;
-* a mirror whose index advertises a hash but whose payload fetch then
+* a mirror whose index advertises a hash but whose bundle fetch then
   fails (the "index says yes, blob 404s" pathology of real binary
   mirrors) falls through to the next mirror and bumps the
-  ``buildcache.mirror_fallbacks`` counter.
+  ``buildcache.mirror_fallbacks`` counter; when no mirror holds the
+  bundle the group raises :class:`~repro.buildcache.backend.
+  MissingBlobError`, which the installer treats as a miss.
 
 **The merged view** (the federated-index layer, ROADMAP "kill the
 741 ms union"): the group keeps one cached union of per-mirror spec-
@@ -34,18 +36,18 @@ re-walked, an in-process ``push`` (journal overlay, no ``save_index``
 yet) bumps the primary's token so ``len(group)`` stays exact, and
 :meth:`MirrorGroup.refresh` picks up other writers' saves by
 delta-reloading only their changed shards.  Every membership question
-— ``in``, the miss legs of ``meta``/``fetch``, ``__len__``,
-``__iter__``, ``all_specs`` — is answered from the view in O(1)
-against set lookups, independent of mirror count and spec count, with
-*zero* backend round-trips on negative lookups.  Mirrors whose hash
-set could not be collected (every retry failed) stay outside the view
-and degrade to the legacy per-mirror walk, so the view never turns a
-flaky mirror into a wrong "no".
+— ``in``, the miss legs of ``fetch``, ``__len__``, ``__iter__``,
+``all_specs`` — is answered from the view in O(1) against set lookups,
+independent of mirror count and spec count, with *zero* backend
+round-trips on negative lookups.  Mirrors whose hash set could not be
+collected (every retry failed) stay outside the view and degrade to the
+legacy per-mirror walk, so the view never turns a flaky mirror into a
+wrong "no".
 
-Observability: every read runs under a ``buildcache.mirror_fetch`` /
-``buildcache.mirror_lookup`` span carrying the serving mirror's label,
-view rebuilds run under ``buildcache.mirror_union_rebuild`` (with how
-many mirrors actually re-collected), and per-mirror counters
+Observability: every fetch runs under a ``buildcache.mirror_fetch``
+span carrying the serving mirror's label, view rebuilds run under
+``buildcache.mirror_union_rebuild`` (with how many mirrors actually
+re-collected), and per-mirror counters
 ``buildcache.mirror_{hits,misses,fallbacks,retries}.<label>`` (plus
 label-less aggregates) make the fallback behaviour visible in
 ``--profile`` output and bench JSON.
@@ -75,7 +77,7 @@ from typing import (
 
 from ..obs import metrics, trace
 from ..spec import Spec
-from .backend import BuildCacheError, TransientBackendError
+from .backend import BuildCacheError, MissingBlobError, TransientBackendError
 from .cache import BuildCache, CachedPayload
 
 __all__ = ["MirrorGroup"]
@@ -297,55 +299,16 @@ class MirrorGroup:
                 self._fallback(mirror, "lookup", e)
         return False
 
-    def has_payload(self, dag_hash: str) -> bool:
-        view = self._merged_view()
-        for mirror, hashes in zip(self.mirrors, view.sets):
-            # payloads can exist without index entries (a stale index),
-            # so only a *complete* view's miss skips the mirror probe
-            if hashes is not None and dag_hash not in hashes:
-                continue
-            try:
-                if self._with_retries(
-                    mirror, lambda: mirror.has_payload(dag_hash)
-                ):
-                    return True
-            except BuildCacheError as e:
-                self._fallback(mirror, "has_payload", e)
-        return False
-
-    def meta(self, dag_hash: str) -> dict:
-        with trace.span("buildcache.mirror_lookup", hash=dag_hash[:7]) as sp:
-            view = self._merged_view()
-            for mirror, hashes in zip(self.mirrors, view.sets):
-                try:
-                    if hashes is not None:
-                        if dag_hash not in hashes:
-                            continue  # view-answered miss: zero ops
-                    elif not self._with_retries(
-                        mirror, lambda: dag_hash in mirror
-                    ):
-                        continue
-                    document = self._with_retries(
-                        mirror, lambda: mirror.meta(dag_hash)
-                    )
-                except BuildCacheError as e:
-                    self._fallback(mirror, "meta", e)
-                    continue
-                sp.set(mirror=mirror.label)
-                return document
-        raise BuildCacheError(
-            f"cache entry {dag_hash} has no metadata on any mirror "
-            f"({self.label})"
-        )
-
     def fetch(self, dag_hash: str) -> CachedPayload:
-        """Fetch the payload from the first mirror that can serve it.
+        """Fetch the bundle from the first mirror that can serve it.
 
         Mirrors whose merged-view hash set excludes the hash are
         skipped without any round-trip; a mirror whose index advertises
-        the hash but whose payload fetch fails — missing blob,
-        exhausted retries, corrupt entry — is *not* fatal: the group
-        falls through and only raises when every mirror has been tried.
+        the hash but whose fetch fails — missing bundle, exhausted
+        retries, corrupt entry — is *not* fatal: the group falls
+        through.  After every mirror, a corrupt entry raises
+        :class:`BuildCacheError`; otherwise no mirror could serve the
+        hash, which raises :class:`MissingBlobError` (a miss).
         """
         with trace.span(
             "buildcache.mirror_fetch",
@@ -353,6 +316,7 @@ class MirrorGroup:
         ) as sp:
             view = self._merged_view()
             last_error: Optional[Exception] = None
+            corrupt = False
             for mirror, hashes in zip(self.mirrors, view.sets):
                 if hashes is not None:
                     if dag_hash not in hashes:
@@ -377,17 +341,21 @@ class MirrorGroup:
                         mirror, lambda: mirror.fetch(dag_hash)
                     )
                 except BuildCacheError as e:
-                    # index hit, payload unfetchable: the classic
+                    # index hit, bundle unfetchable: the classic
                     # stale-mirror pathology — fall through
                     self._fallback(mirror, "fetch", e)
                     last_error = e
+                    corrupt = corrupt or not isinstance(
+                        e, (MissingBlobError, TransientBackendError)
+                    )
                     continue
                 metrics.inc("buildcache.mirror_hits")
                 metrics.inc(f"buildcache.mirror_hits.{mirror.label}")
                 sp.set(mirror=mirror.label, bytes=payload.size)
                 return payload
         detail = f" (last error: {last_error})" if last_error else ""
-        raise BuildCacheError(
+        error = BuildCacheError if corrupt else MissingBlobError
+        raise error(
             f"no mirror in {self.label} could serve cache entry "
             f"{dag_hash}{detail}"
         )
@@ -478,14 +446,7 @@ class MirrorGroup:
         return self.primary
 
     def verify_payload(self, payload: CachedPayload) -> CachedPayload:
-        # verification re-reads the entry's manifest/meta from the
-        # serving mirror's backend, so HTTP transient faults can surface
-        # here too (the prefetch pipeline calls this off-thread) —
-        # route it through the same retry seam as every other read
-        serving = self._serving(payload)
-        return self._with_retries(
-            serving, lambda: serving.verify_payload(payload)
-        )
+        return self._serving(payload).verify_payload(payload)
 
     def extract_payload(
         self,
@@ -493,12 +454,8 @@ class MirrorGroup:
         prefix,
         extra_prefix_map: Optional[Dict[str, str]] = None,
     ):
-        serving = self._serving(payload)
-        return self._with_retries(
-            serving,
-            lambda: serving.extract_payload(
-                payload, prefix, extra_prefix_map=extra_prefix_map
-            ),
+        return self._serving(payload).extract_payload(
+            payload, prefix, extra_prefix_map=extra_prefix_map
         )
 
     def extract(

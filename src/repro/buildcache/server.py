@@ -17,20 +17,14 @@ Protocol (URL path = backend key, query ``op`` selects non-blob verbs):
 ``HEAD /<key>``                        existence probe + ``ETag``
 ``PUT /<key>``                         atomic durable write (via
                                        :func:`~repro.buildcache.backend.
-                                       fsync_write`)
+                                       fsync_write`); publishes a whole
+                                       cache entry (one bundle)
 ``DELETE /<key>``                      idempotent delete
 ``GET /<prefix>?op=list``              JSON ``{"files": [...], "dirs":
                                        [...]}`` tree listing
 ``HEAD /<prefix>?op=tree``             tree existence probe
 ``POST /<key>?op=append``              durable journal append (body =
                                        one line)
-``POST /<prefix>?op=publish-begin``    open a staged-publish
-                                       transaction -> ``{"txn": id}``
-``PUT /<prefix>?op=stage&txn=&path=``  stage one file of the new tree
-                                       (parts may arrive in parallel)
-``POST /<prefix>?op=publish-commit``   atomically swap the staged tree
-                                       in (body = ``{"dirs": [...]}``)
-``POST /<prefix>?op=publish-abort``    drop a transaction
 =====================================  ==================================
 
 **ETag semantics.**  Every blob's ETag is the sha256 of its bytes —
@@ -39,13 +33,10 @@ document carries one, so a client that already knows a mirror's digest
 can revalidate the whole index with one conditional GET: an unchanged
 mirror costs exactly one 304 per ``refresh()``, zero shard re-reads.
 
-**Atomic publish.**  The staged-PUT transaction preserves the
-old-tree-or-new-tree :meth:`~repro.buildcache.backend.StorageBackend.
-publish_tree` contract *server-side*: parts accumulate in a per-txn
-staging area and only ``publish-commit`` swaps them in (through the
-local backend's tested publish path), so a client that dies mid-upload
-— or aborts after a failed part — leaves the previous entry fully
-intact and the staging garbage collected.
+**Whole bodies only.**  A ``PUT`` or ``POST`` body is read to exactly
+its ``Content-Length``; a client that dies mid-upload leaves a short
+body, which is answered 400 on a closed connection and never stored,
+so the previous object (a bundle, a shard, the journal) stays intact.
 
 ``--read-only`` turns every mutating verb into a 403, which the HTTP
 backend maps to :class:`~repro.buildcache.backend.ReadOnlyBackendError`
@@ -55,7 +46,6 @@ backend maps to :class:`~repro.buildcache.backend.ReadOnlyBackendError`
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import threading
@@ -91,15 +81,6 @@ def _etag_for(key: str, data: bytes) -> str:
     return f'"{hashlib.sha256(data).hexdigest()}"'
 
 
-class _PublishTxn:
-    """One staged publish: parts accumulate under a lock until commit."""
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.files: Dict[str, bytes] = {}
-        self.lock = threading.Lock()
-
-
 class BuildCacheHTTPServer(ThreadingHTTPServer):
     """A threaded HTTP server over one buildcache directory.
 
@@ -124,9 +105,6 @@ class BuildCacheHTTPServer(ThreadingHTTPServer):
         self.read_only = read_only
         self.request_log: List[Tuple[str, str, int]] = []
         self._log_lock = threading.Lock()
-        self._txns: Dict[str, _PublishTxn] = {}
-        self._txn_lock = threading.Lock()
-        self._txn_ids = itertools.count(1)
         #: queued fault injection: each entry fails one request with 500
         #: (the HTTP twin of ``SimulatedRemoteBackend.fail``); a non-None
         #: entry only fires on a request whose path contains it
@@ -170,21 +148,6 @@ class BuildCacheHTTPServer(ThreadingHTTPServer):
     def _record(self, method: str, path: str, status: int) -> None:
         with self._log_lock:
             self.request_log.append((method, path, status))
-
-    # -- publish transactions ------------------------------------------
-    def begin_txn(self, prefix: str) -> str:
-        with self._txn_lock:
-            txn_id = f"txn{next(self._txn_ids)}"
-            self._txns[txn_id] = _PublishTxn(prefix)
-        return txn_id
-
-    def get_txn(self, txn_id: str) -> Optional[_PublishTxn]:
-        with self._txn_lock:
-            return self._txns.get(txn_id)
-
-    def drop_txn(self, txn_id: str) -> None:
-        with self._txn_lock:
-            self._txns.pop(txn_id, None)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -237,13 +200,31 @@ class _Handler(BaseHTTPRequestHandler):
     #: per-request body, drained eagerly by the mutating dispatchers
     _cached_body = b""
 
-    def _drain_body(self) -> None:
-        # the verb dispatchers drain the body *before* handling, so an
-        # early error reply (403/409/500) never leaves unread bytes to
-        # desync the next keep-alive request; one handler instance
-        # serves many requests, so this must run per request, not once
-        length = int(self.headers.get("Content-Length") or 0)
-        self._cached_body = self.rfile.read(length) if length else b""
+    def _drain_body(self) -> bool:
+        """Read the whole request body; False (after a 400 on a closed
+        connection) when it is shorter than ``Content-Length``.
+
+        The verb dispatchers drain the body *before* handling, so an
+        early error reply (403/500) never leaves unread bytes to desync
+        the next keep-alive request; one handler instance serves many
+        requests, so this must run per request, not once.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        length = int(declared) if declared.isdigit() else -1
+        body = self.rfile.read(length) if length > 0 else b""
+        if len(body) != length:
+            # a client that died mid-upload: store nothing
+            self.close_connection = True
+            try:
+                self._error(
+                    400, f"request body is {len(body)} bytes, "
+                    f"Content-Length says {declared}",
+                )
+            except OSError:
+                pass  # the client is gone; nothing left to tell it
+            return False
+        self._cached_body = body
+        return True
 
     def _body(self) -> bytes:
         return self._cached_body
@@ -339,33 +320,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- writes --------------------------------------------------------
     def do_PUT(self) -> None:
-        self._drain_body()
-        self._guard(self._put)
+        if self._drain_body():
+            self._guard(self._put)
 
     def _put(self) -> None:
         if not self._require_writable():
             return
-        key, query = self._key(), self._query()
-        body = self._body()
-        if query.get("op") == "stage":
-            txn = self.server.get_txn(query.get("txn", ""))
-            if txn is None or txn.prefix != key:
-                self._error(409, f"unknown publish transaction for {key!r}")
-                return
-            rel = query.get("path", "")
-            if not rel or rel.startswith("/") or ".." in rel.split("/"):
-                self._error(400, f"staged path {rel!r} escapes the tree")
-                return
-            with txn.lock:
-                txn.files[rel] = body
-            self._reply(200, b"")
-            return
-        self.server.backend.put(key, body)
+        self.server.backend.put(self._key(), self._body())
         self._reply(201, b"")
 
     def do_POST(self) -> None:
-        self._drain_body()
-        self._guard(self._post)
+        if self._drain_body():
+            self._guard(self._post)
 
     def _post(self) -> None:
         if not self._require_writable():
@@ -374,35 +340,6 @@ class _Handler(BaseHTTPRequestHandler):
         op = query.get("op")
         if op == "append":
             self.server.backend.append_line(key, self._body())
-            self._reply(200, b"")
-            return
-        if op == "publish-begin":
-            txn_id = self.server.begin_txn(key)
-            self._reply(
-                200, json.dumps({"txn": txn_id}).encode(), "application/json"
-            )
-            return
-        if op in ("publish-commit", "publish-abort"):
-            txn_id = query.get("txn", "")
-            txn = self.server.get_txn(txn_id)
-            if txn is None or txn.prefix != key:
-                self._error(409, f"unknown publish transaction for {key!r}")
-                return
-            if op == "publish-abort":
-                self.server.drop_txn(txn_id)
-                self._reply(200, b"")
-                return
-            try:
-                document = json.loads(self._body() or b"{}")
-                dirs = [str(d) for d in document.get("dirs", [])]
-            except (json.JSONDecodeError, AttributeError):
-                self._error(400, "publish-commit body must be JSON")
-                return
-            with txn.lock:
-                # the local backend's staged-swap makes the commit
-                # old-tree-or-new-tree atomic on disk
-                self.server.backend.publish_tree(key, dict(txn.files), dirs)
-            self.server.drop_txn(txn_id)
             self._reply(200, b"")
             return
         self._error(400, f"unknown POST op {op!r}")
@@ -427,8 +364,11 @@ def start_server(
     (``server.url`` is immediately connectable).  Callers own shutdown:
     ``server.shutdown(); server.server_close()``."""
     server = BuildCacheHTTPServer(root, host=host, port=port, read_only=read_only)
+    # shutdown() waits for the loop's next poll: poll every 50 ms, not
+    # the default 0.5 s, so an in-process server stops promptly
     thread = threading.Thread(
-        target=server.serve_forever, name="buildcache-serve", daemon=True
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        name="buildcache-serve", daemon=True,
     )
     thread.start()
     logger.info("serving buildcache %s at %s", root, server.url)

@@ -27,15 +27,14 @@ import hmac
 import secrets
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["SigningKey", "TrustStore", "SignatureError", "sha256_digest"]
+__all__ = ["SigningKey", "TrustStore", "SignatureError"]
+
+#: the one signature scheme: HMAC-SHA256 under a named key
+ALGORITHM = "hmac-sha256"
 
 
 class SignatureError(RuntimeError):
     """A signature is missing, unknown, or does not verify."""
-
-
-def sha256_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 class SigningKey:
@@ -74,7 +73,7 @@ class SigningKey:
         return {
             "key_name": self.name,
             "key_id": self.key_id,
-            "algorithm": "hmac-sha256",
+            "algorithm": ALGORITHM,
             "signature": mac.hexdigest(),
         }
 
@@ -110,11 +109,17 @@ class TrustStore:
         """Check ``signature`` over ``data`` against the trusted keys.
 
         Raises :class:`SignatureError` when the signature is missing,
-        from an untrusted key, or fails to verify.
+        declares another algorithm, comes from an untrusted key or names
+        it wrongly, or fails to verify: every field counts.
         """
         if not signature:
             raise SignatureError(
                 "entry is unsigned but the consumer requires trusted signatures"
+            )
+        if signature.get("algorithm") != ALGORITHM:
+            raise SignatureError(
+                f"signature declares unknown algorithm "
+                f"{signature.get('algorithm')!r}"
             )
         key_id = signature.get("key_id", "")
         key = self._keys.get(key_id)
@@ -122,6 +127,11 @@ class TrustStore:
             raise SignatureError(
                 f"signature by untrusted key "
                 f"{signature.get('key_name', '?')!r} (id {key_id or '?'})"
+            )
+        if signature.get("key_name") != key.name:
+            raise SignatureError(
+                f"signature names key {signature.get('key_name')!r} but its "
+                f"key_id belongs to {key.name!r}"
             )
         if not key.verify(data, signature):
             raise SignatureError(

@@ -281,8 +281,9 @@ def cmd_spec(args) -> int:
 
 def cmd_install(args) -> int:
     """`repro install`: concretize then build/extract/rewire into a store."""
+    from .buildcache.backend import BuildCacheError
     from .concretize import Concretizer, UnsatisfiableError
-    from .installer import Installer
+    from .installer import InstallError, Installer
 
     repo = _load_repo(args.repo)
     caches = _open_caches(args)
@@ -300,10 +301,14 @@ def cmd_install(args) -> int:
     installer = Installer(
         Path(args.store), repo, caches=caches, fetch_jobs=args.fetch_jobs
     )
-    for root in result.roots:
-        report = installer.install(root)
-        print(f"{root.name}: {report.summary()}")
-        print(f"  prefix: {installer.database.prefix_of(root)}")
+    try:
+        for root in result.roots:
+            report = installer.install(root)
+            print(f"{root.name}: {report.summary()}")
+            print(f"  prefix: {installer.database.prefix_of(root)}")
+    except (BuildCacheError, InstallError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -465,7 +470,8 @@ def cmd_env(args) -> int:
             print()
         return 0
     if args.action == "install":
-        from .installer import Installer
+        from .buildcache.backend import BuildCacheError
+        from .installer import InstallError, Installer
 
         caches = _open_caches(args)
         if not env.concretized:
@@ -475,7 +481,11 @@ def cmd_env(args) -> int:
             Path(args.store), repo, caches=caches,
             fetch_jobs=getattr(args, "fetch_jobs", 1),
         )
-        report = installer.install_all(env.concrete_roots, jobs=args.jobs)
+        try:
+            report = installer.install_all(env.concrete_roots, jobs=args.jobs)
+        except (BuildCacheError, InstallError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         print(report.summary())
         return 0
     if args.action == "status":

@@ -20,12 +20,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..binary.abi import AbiReport, check_abi_compatibility
 from ..binary.mockelf import MockBinary, BinaryFormatError
 from ..binary.rewire import plan_rewire, rewire_binary, RewireError
-from ..buildcache.cache import BuildCache
+from ..buildcache.backend import MissingBlobError
+from ..buildcache.cache import BuildCache, CachedPayload
 from ..obs import metrics, trace
 from ..package.repository import Repository
 from ..spec import Spec, DEPTYPE_LINK_RUN
@@ -215,40 +216,42 @@ class Installer:
                 prefix_map[old_prefix] = record.prefix
         return prefix_map
 
+    def _fetch(self, dag_hash: str) -> Optional[Tuple[BuildCache, CachedPayload]]:
+        """The first cache's entry for ``dag_hash`` with the cache that
+        served it, or ``None``.  One fetch per cache that indexes the
+        hash; an indexed hash whose bundle is gone is a miss there."""
+        for cache in self.caches:
+            if dag_hash not in cache:
+                continue
+            try:
+                return cache, cache.fetch(dag_hash)
+            except MissingBlobError:
+                continue
+        return None
+
     def _try_extract(self, node: Spec, prefix: Path, report: InstallReport) -> bool:
         h = node.dag_hash()
         prefetcher = self._prefetcher
-        if prefetcher is not None:
-            prefetched = prefetcher.take(h)
-            if prefetched is not None:
-                # fetch + verify already happened on the fetch pool;
-                # only relocation + writing remains on this worker
-                cache, payload = prefetched
-                metrics.inc("buildcache.hits")
-                with trace.span("install.extract", name=node.name):
-                    cache.extract_payload(
-                        payload, prefix,
-                        extra_prefix_map=self._dep_prefix_map(payload.meta),
-                    )
-                report.extracted.append(node.name)
-                logger.debug(
-                    "extracted %s/%s from prefetched payload", node.name, h[:7]
-                )
-                return True
-        for cache in self.caches:
-            if h in cache and cache.has_payload(h):
-                metrics.inc("buildcache.hits")
-                with trace.span("install.extract", name=node.name):
-                    meta = cache.meta(h)
-                    cache.extract(
-                        h, prefix, extra_prefix_map=self._dep_prefix_map(meta)
-                    )
-                report.extracted.append(node.name)
-                logger.debug("extracted %s/%s from cache", node.name, h[:7])
-                return True
-        if self.caches:
-            metrics.inc("buildcache.misses")
-        return False
+        if prefetcher is not None and h in prefetcher:
+            # fetch + verify already happened on the fetch pool; only
+            # relocation + writing remains on this worker
+            found = prefetcher.take(h)
+        else:
+            found = self._fetch(h)
+        if found is None:
+            if self.caches:
+                metrics.inc("buildcache.misses")
+            return False
+        cache, payload = found
+        metrics.inc("buildcache.hits")
+        with trace.span("install.extract", name=node.name):
+            cache.extract_payload(
+                payload, prefix,
+                extra_prefix_map=self._dep_prefix_map(payload.meta),
+            )
+        report.extracted.append(node.name)
+        logger.debug("extracted %s/%s from %s", node.name, h[:7], payload.source)
+        return True
 
     def push_to_cache(self, cache: BuildCache, spec: Spec) -> None:
         """Push an installed spec DAG (deps included) to a buildcache,
@@ -485,14 +488,14 @@ class Installer:
         if record is not None:
             return Path(record.prefix), {}
         h = build_spec.dag_hash()
-        for cache in self.caches:
-            if h in cache and cache.has_payload(h):
-                meta = cache.meta(h)
-                staging = self.store_root / ".staging" / prefix_name(build_spec)
-                if not staging.exists():
-                    cache.extract(h, staging)
-                return staging, dict(meta.get("dep_prefixes", {}))
-        raise InstallError(
-            f"no binary for build spec {build_spec.name}/{h[:7]}: splicing "
-            "requires the original binary to relink"
-        )
+        found = self._fetch(h)
+        if found is None:
+            raise InstallError(
+                f"no binary for build spec {build_spec.name}/{h[:7]}: splicing "
+                "requires the original binary to relink"
+            )
+        cache, payload = found
+        staging = self.store_root / ".staging" / prefix_name(build_spec)
+        if not staging.exists():
+            cache.extract_payload(payload, staging)
+        return staging, dict(payload.meta.get("dep_prefixes", {}))

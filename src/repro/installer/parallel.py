@@ -40,11 +40,13 @@ logger = logging.getLogger(__name__)
 class PayloadPrefetcher:
     """Bounded-pool prefetch of cache payloads (fetch + verify stages).
 
-    For every wave node that is a buildcache hit and not already in the
-    install database, a fetch task reads the blob into memory and, when
-    the cache carries a trust policy, verifies the signed manifest over
-    those bytes.  The DAG-ordered install worker later collects the
-    payload with :meth:`take` and only pays relocation + writing.
+    For every wave node that a cache indexes and that is not already in
+    the install database (nor external or spliced), a fetch task reads
+    its entry into memory with the installer's one-fetch-per-node
+    lookup and, when the cache carries a trust policy, verifies the
+    signed manifest over those bytes.  The DAG-ordered install worker
+    later collects the result with :meth:`take` and only pays
+    relocation + writing, so the request count matches the serial path.
 
     Observability: each task runs under an ``installer.fetch`` span, and
     the ``installer.fetch_occupancy`` histogram samples how many fetch
@@ -55,48 +57,51 @@ class PayloadPrefetcher:
     def __init__(self, installer, nodes: Dict[str, Spec], fetch_jobs: int):
         self._lock = threading.Lock()
         self._busy = 0
-        self._futures: Dict[str, "Future[Tuple[object, object]]"] = {}
+        self._futures: Dict[str, Future] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(fetch_jobs, 1), thread_name_prefix="fetch"
         )
         for h, node in nodes.items():
-            if installer.database.get(h) is not None or node.external:
+            if installer.database.get(h) is not None or node.external or (
+                node.spliced
+            ):
                 continue
-            for cache in installer.caches:
-                if h in cache and cache.has_payload(h):
-                    self._futures[h] = self._pool.submit(
-                        self._fetch_one, cache, node, h
-                    )
-                    break
+            if any(h in cache for cache in installer.caches):
+                self._futures[h] = self._pool.submit(
+                    self._fetch_one, installer, node, h
+                )
 
-    def _fetch_one(self, cache, node: Spec, h: str):
+    def _fetch_one(self, installer, node: Spec, h: str):
         with self._lock:
             self._busy += 1
             occupancy = self._busy
         metrics.observe("installer.fetch_occupancy", occupancy)
         try:
             with trace.span("installer.fetch", name=node.name, hash=h[:7]) as sp:
-                payload = cache.fetch(h)
-                cache.verify_payload(payload)
-                # per-mirror attribution: which cache/mirror actually
-                # served the bytes (a MirrorGroup may have fallen back)
-                sp.set(bytes=payload.size, mirror=payload.source)
-            return cache, payload
+                found = installer._fetch(h)
+                if found is not None:
+                    cache, payload = found
+                    cache.verify_payload(payload)
+                    # per-mirror attribution: which cache/mirror actually
+                    # served the bytes (a MirrorGroup may have fallen back)
+                    sp.set(bytes=payload.size, mirror=payload.source)
+            return found
         finally:
             with self._lock:
                 self._busy -= 1
 
-    def take(self, dag_hash: str):
-        """The (cache, payload) pair for a prefetched node, or ``None``.
+    def __contains__(self, dag_hash: str) -> bool:
+        return dag_hash in self._futures
+
+    def take(self, dag_hash: str) -> Optional[Tuple[object, object]]:
+        """The (cache, payload) pair of a prefetched node, or ``None``
+        when no cache could serve it (a miss).
 
         Blocks until the in-flight fetch finishes; re-raises its error
         (a corrupt or tampered entry must fail the node exactly as the
         serial path would).
         """
-        future = self._futures.pop(dag_hash, None)
-        if future is None:
-            return None
-        return future.result()
+        return self._futures.pop(dag_hash).result()
 
     @property
     def prefetched(self) -> int:

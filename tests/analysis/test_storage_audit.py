@@ -48,6 +48,20 @@ def flip_byte(path: Path, offset: int = -2) -> None:
     path.write_bytes(bytes(data))
 
 
+def bundles(tmp_path) -> list:
+    return sorted((tmp_path / "cache" / "blobs").glob("*.bundle"))
+
+
+def rewrite_head(bundle: Path, edit) -> None:
+    """Let ``edit`` change a bundle's parsed head, then store it back in
+    canonical form ahead of the untouched payload bytes."""
+    head, _, payload = bundle.read_bytes().partition(b"\n")
+    document = json.loads(head)
+    edit(document)
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    bundle.write_bytes(canonical.encode() + b"\n" + payload)
+
+
 class TestCleanCache:
     def test_saved_cache_is_clean(self, repo, tmp_path):
         cache = build_cache(repo, tmp_path)
@@ -179,8 +193,7 @@ class TestJournal:
 class TestEntries:
     def test_torn_blob_fires_cache005(self, repo, tmp_path):
         cache = build_cache(repo, tmp_path)
-        payload = sorted((tmp_path / "cache" / "blobs").glob("*/files/lib/*"))[0]
-        flip_byte(payload)
+        flip_byte(bundles(tmp_path)[0])  # a payload byte near the end
         report = run_cache_checks(cache, checks=["cache.entries"])
         assert any(
             "torn or tampered" in d.message for d in report.errors
@@ -188,24 +201,23 @@ class TestEntries:
 
     def test_missing_meta_fires_cache005(self, repo, tmp_path):
         cache = build_cache(repo, tmp_path)
-        meta = sorted((tmp_path / "cache" / "blobs").glob("*/meta.json"))[0]
-        meta.unlink()
+        rewrite_head(bundles(tmp_path)[0], lambda head: head.pop("meta"))
         report = run_cache_checks(cache, checks=["cache.entries"])
-        assert any("no meta.json" in d.message for d in report.errors)
+        assert any("corrupt bundle" in d.message for d in report.errors)
 
     def test_file_missing_from_payload_fires_cache005(self, repo, tmp_path):
         cache = build_cache(repo, tmp_path)
-        payload = sorted((tmp_path / "cache" / "blobs").glob("*/files/lib/*"))[0]
-        payload.unlink()
+        bundle = bundles(tmp_path)[0]
+        bundle.write_bytes(bundle.read_bytes()[:-10])
         report = run_cache_checks(cache, checks=["cache.entries"])
         assert any(
-            "payload does not contain it" in d.message for d in report.errors
-        )
+            "overruns the bundle" in d.message for d in report.errors
+        ), report.render()
 
     def test_orphaned_blob_fires_cache006(self, repo, tmp_path):
         cache = build_cache(repo, tmp_path)
-        entry = sorted((tmp_path / "cache" / "blobs").iterdir())[0]
-        shutil.copytree(entry, entry.parent / ("f" * len(entry.name)))
+        bundle = bundles(tmp_path)[0]
+        shutil.copy(bundle, bundle.parent / ("f" * 32 + ".bundle"))
         report = run_cache_checks(cache, checks=["cache.entries"])
         assert "CACHE006" in report.codes()
         assert any("orphaned payload" in d.message for d in report.warnings)
@@ -213,12 +225,14 @@ class TestEntries:
     def test_flipped_signature_fires_cache007(self, repo, tmp_path):
         key = SigningKey.generate("publisher")
         cache = build_cache(repo, tmp_path, signing_key=key)
-        sig = sorted((tmp_path / "cache" / "blobs").glob("*/manifest.sig"))[0]
-        doc = json.loads(sig.read_text())
-        doc["signature"] = ("0" if doc["signature"][0] != "0" else "1") + doc[
-            "signature"
-        ][1:]
-        sig.write_text(json.dumps(doc))
+
+        def flip(head):
+            sig = head["signature"]["signature"]
+            head["signature"]["signature"] = (
+                "0" if sig[0] != "0" else "1"
+            ) + sig[1:]
+
+        rewrite_head(bundles(tmp_path)[0], flip)
         report = run_cache_checks(
             cache, trust=TrustStore([key]), checks=["cache.entries"]
         )
@@ -228,14 +242,14 @@ class TestEntries:
         )
 
     def test_tampered_algorithm_fires_cache007(self, repo, tmp_path):
-        """TrustStore.verify never reads the algorithm field, so the
-        checker must cross-check it — HMAC alone lets it drift."""
+        """The HMAC does not cover the algorithm field, so it is checked
+        by name — HMAC alone lets it drift."""
         key = SigningKey.generate("publisher")
         cache = build_cache(repo, tmp_path, signing_key=key)
-        sig = sorted((tmp_path / "cache" / "blobs").glob("*/manifest.sig"))[0]
-        doc = json.loads(sig.read_text())
-        doc["algorithm"] = " mac-sha256"
-        sig.write_text(json.dumps(doc))
+        rewrite_head(
+            bundles(tmp_path)[0],
+            lambda head: head["signature"].update(algorithm=" mac-sha256"),
+        )
         report = run_cache_checks(
             cache, trust=TrustStore([key]), checks=["cache.entries"]
         )
@@ -247,8 +261,8 @@ class TestEntries:
     def test_missing_signature_warns_under_trust(self, repo, tmp_path):
         key = SigningKey.generate("publisher")
         cache = build_cache(repo, tmp_path, signing_key=key)
-        for sig in (tmp_path / "cache" / "blobs").glob("*/manifest.sig"):
-            sig.unlink()
+        for bundle in bundles(tmp_path):
+            rewrite_head(bundle, lambda head: head.update(signature=None))
         report = run_cache_checks(
             cache, trust=TrustStore([key]), checks=["cache.entries"]
         )
@@ -258,8 +272,10 @@ class TestEntries:
     def test_malformed_signature_errors_without_trust(self, repo, tmp_path):
         key = SigningKey.generate("publisher")
         cache = build_cache(repo, tmp_path, signing_key=key)
-        sig = sorted((tmp_path / "cache" / "blobs").glob("*/manifest.sig"))[0]
-        sig.write_text('{"key_id": "x"}')
+        rewrite_head(
+            bundles(tmp_path)[0],
+            lambda head: head.update(signature={"key_id": "x"}),
+        )
         report = run_cache_checks(cache, checks=["cache.entries"])
         assert any(
             d.code == "CACHE007" and "malformed" in d.message
@@ -358,10 +374,10 @@ _WHITESPACE = b" \t\n\r"
 
 
 def _mutation_targets(root: Path):
-    """Every file of a published cache entry, with the byte positions a
-    corruption may land on.  Digest/signature-covered files accept any
-    position; the unsigned JSON control files (index.json, sidecar)
-    exclude whitespace bytes, which carry no meaning for any reader."""
+    """Every file of a published cache, with the byte positions a
+    corruption may land on.  Shards and bundles accept any position;
+    the unsigned JSON control files (index.json, sidecar) exclude
+    whitespace bytes, which carry no meaning for any reader."""
     targets = []
     for path in sorted(root.rglob("*")):
         if not path.is_file():
@@ -370,9 +386,7 @@ def _mutation_targets(root: Path):
         if not data:
             continue
         rel = path.relative_to(root).as_posix()
-        if rel in ("index.json", "index.sum.json") or rel.endswith(
-            "manifest.sig"
-        ):
+        if rel in ("index.json", "index.sum.json"):
             positions = [
                 i for i, b in enumerate(data) if bytes([b]) not in _WHITESPACE
             ]

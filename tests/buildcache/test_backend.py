@@ -1,4 +1,4 @@
-"""Storage-backend tests: durable writes, atomic publish, fault simulation."""
+"""Storage-backend tests: durable writes, fault simulation."""
 
 import os
 import subprocess
@@ -57,11 +57,9 @@ class TestLocalFSBackend:
 
     def test_list_tree_includes_empty_dirs(self, tmp_path):
         backend = LocalFSBackend(tmp_path)
-        backend.publish_tree(
-            "blobs/abc",
-            {"files/lib/libz.so": b"elf", "meta.json": b"{}"},
-            dirs=["files", "files/lib", "files/include"],
-        )
+        backend.put("blobs/abc/files/lib/libz.so", b"elf")
+        backend.put("blobs/abc/meta.json", b"{}")
+        (tmp_path / "blobs" / "abc" / "files" / "include").mkdir()
         files, dirs = backend.list_tree("blobs/abc")
         assert files == ["files/lib/libz.so", "meta.json"]
         assert "files/include" in dirs
@@ -76,72 +74,48 @@ class TestLocalFSBackend:
             lambda: backend.put("k", b"v"),
             lambda: backend.delete("k"),
             lambda: backend.append_line("k", b"v\n"),
-            lambda: backend.publish_tree("t", {"f": b"v"}),
         ):
             with pytest.raises(ReadOnlyBackendError, match="read-only"):
                 op()
+
+    def test_concurrent_puts_of_one_key_never_tear(self, tmp_path):
+        """Writers of one key race (a bundle re-pushed by two clients of
+        one server): every put succeeds and the key ends up holding one
+        writer's bytes, whole."""
+        import threading
+
+        backend = LocalFSBackend(tmp_path)
+        values = [bytes([65 + i]) * 65536 for i in range(8)]
+        errors = []
+
+        def writer(value):
+            try:
+                for _ in range(20):
+                    backend.put("blobs/h.bundle", value)
+            except Exception as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(v,)) for v in values]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert backend.get("blobs/h.bundle") in values
+        assert [p.name for p in (tmp_path / "blobs").iterdir()] == ["h.bundle"]
 
     def test_fsync_write_replaces_atomically(self, tmp_path):
         target = tmp_path / "shard.json"
         fsync_write(target, b"old")
         fsync_write(target, b"new")
         assert target.read_bytes() == b"new"
-        assert not target.with_name("shard.json.tmp").exists()
-
-
-class TestPublishTree:
-    def test_replaces_previous_tree_completely(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.publish_tree("blobs/h", {"files/a": b"1", "stale.json": b"x"})
-        backend.publish_tree("blobs/h", {"files/b": b"2"})
-        files, _ = backend.list_tree("blobs/h")
-        # nothing from the first publish survives (no stale signatures)
-        assert files == ["files/b"]
-
-    def test_fault_mid_publish_preserves_old_tree(self, tmp_path, monkeypatch):
-        """The torn-push regression: a copy dying mid-publish must leave
-        the previous tree fully intact — old-entry-or-new-entry."""
-        backend = LocalFSBackend(tmp_path)
-        backend.publish_tree("blobs/h", {"files/a": b"old", "meta.json": b"m1"})
-
-        real_stage = LocalFSBackend._stage_file
-        calls = {"n": 0}
-
-        def flaky_stage(self, path, data):
-            calls["n"] += 1
-            if calls["n"] == 2:  # die after the first staged file
-                raise OSError("disk full")
-            real_stage(self, path, data)
-
-        monkeypatch.setattr(LocalFSBackend, "_stage_file", flaky_stage)
-        with pytest.raises(OSError, match="disk full"):
-            backend.publish_tree(
-                "blobs/h", {"files/a": b"new", "meta.json": b"m2"}
-            )
-        monkeypatch.undo()
-
-        files, _ = backend.list_tree("blobs/h")
-        assert sorted(files) == ["files/a", "meta.json"]
-        assert backend.get("blobs/h/files/a") == b"old"
-        assert backend.get("blobs/h/meta.json") == b"m1"
-        # no staging droppings left behind
-        leftovers = [p.name for p in (tmp_path / "blobs").iterdir()]
-        assert leftovers == ["h"]
-
-        # and the re-push goes through cleanly
-        backend.publish_tree("blobs/h", {"files/a": b"new", "meta.json": b"m2"})
-        assert backend.get("blobs/h/files/a") == b"new"
-
-    def test_crash_between_rename_and_swap_heals_on_reentry(self, tmp_path):
-        """Simulate the one crash window of the swap: the old tree was
-        moved aside but the new one never landed."""
-        backend = LocalFSBackend(tmp_path)
-        backend.publish_tree("blobs/h", {"files/a": b"old"})
-        (tmp_path / "blobs" / "h").rename(tmp_path / "blobs" / "h.publish.old")
-        # reader-visible state is "entry missing"; the next publish heals
-        backend.publish_tree("blobs/h", {"files/a": b"new"})
-        assert backend.get("blobs/h/files/a") == b"new"
-        assert not (tmp_path / "blobs" / "h.publish.old").exists()
+        assert list(tmp_path.iterdir()) == [target]  # no temp file left
 
 
 class TestSimulatedRemoteBackend:

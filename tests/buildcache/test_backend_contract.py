@@ -2,29 +2,37 @@
 
 One parameterized suite runs the byte-level contract — round trips,
 error taxonomy, escape guard, read-only refusal, durable append,
-atomic publish — against ``LocalFSBackend``, ``SimulatedRemoteBackend``
-and ``HTTPBackend`` talking to a live ``buildcache serve`` process, so
-a backend can't drift from the semantics MirrorGroup and BuildCache
-were tested against.
+atomic entry publish — against ``LocalFSBackend``,
+``SimulatedRemoteBackend`` and ``HTTPBackend`` talking to a live
+``buildcache serve`` process, so a backend can't drift from the
+semantics MirrorGroup and BuildCache were tested against.
 """
+
+import os
+import socket
 
 import pytest
 
 from repro.buildcache import (
     BackendError,
+    BuildCache,
     HTTPBackend,
     LocalFSBackend,
     MissingBlobError,
     ReadOnlyBackendError,
+    SigningKey,
     SimulatedRemoteBackend,
+    TrustStore,
+    greedy_concretize,
 )
 from repro.buildcache.server import start_server
+from repro.repos.mock import make_mock_repo
 
 
 class Harness:
     """One backend implementation under test: builds writable and
     read-only handles over the *same* underlying storage, and knows how
-    to make the next publish die mid-stage."""
+    to make the next write die mid-upload."""
 
     def __init__(self, kind, tmp_path):
         self.kind = kind
@@ -50,30 +58,29 @@ class Harness:
             )
         return HTTPBackend(self.server.url, name="http", writable=writable)
 
-    def break_mid_publish(self, backend, monkeypatch):
-        """Arrange for the next publish_tree to die after staging one
-        file, using each implementation's own staging seam."""
-        calls = {"n": 0}
+    def break_next_put(self, monkeypatch):
+        """Make the next ``put`` die halfway through its bytes: over
+        HTTP the client sends half the body and hangs up; locally the
+        write fails before the rename."""
         if self.kind == "http":
-            real = HTTPBackend._stage_part
+            def cut(backend, key, data):
+                head = (
+                    f"PUT /{key} HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {len(data)}\r\n\r\n"
+                ).encode()
+                address = (backend.host, backend.port)
+                with socket.create_connection(address) as sock:
+                    sock.sendall(head + data[: len(data) // 2])
+                    sock.shutdown(socket.SHUT_WR)
+                    sock.recv(4096)
+                raise OSError("wire cut")
 
-            def flaky(self, prefix, txn, rel, data):
-                calls["n"] += 1
-                if calls["n"] == 2:
-                    raise OSError("wire cut")
-                real(self, prefix, txn, rel, data)
-
-            monkeypatch.setattr(HTTPBackend, "_stage_part", flaky)
+            monkeypatch.setattr(HTTPBackend, "put", cut)
         else:
-            real = LocalFSBackend._stage_file
+            def disk_full(fd):
+                raise OSError("disk full")
 
-            def flaky(self, path, data):
-                calls["n"] += 1
-                if calls["n"] == 2:
-                    raise OSError("disk full")
-                real(self, path, data)
-
-            monkeypatch.setattr(LocalFSBackend, "_stage_file", flaky)
+            monkeypatch.setattr(os, "fsync", disk_full)
 
 
 @pytest.fixture(params=["local", "sim", "http"])
@@ -141,7 +148,6 @@ class TestByteContract:
             lambda: ro.put("k", b"v"),
             lambda: ro.delete("k"),
             lambda: ro.append_line("k", b"v\n"),
-            lambda: ro.publish_tree("t", {"f": b"v"}),
         ):
             with pytest.raises(ReadOnlyBackendError, match="read-only"):
                 op()
@@ -157,14 +163,49 @@ class TestByteContract:
         backend.append_line("journal.jsonl", b"two\n")
         assert backend.get("journal.jsonl") == b"one\ntwo\n"
 
+    def test_symlink_out_of_the_root_is_rejected(self, harness, backend):
+        """A symlink inside the root that leads outside it escapes all
+        the same: reads, probes and writes through it are refused."""
+        outside = harness.root.parent / "outside"
+        outside.mkdir()
+        (outside / "secret").write_bytes(b"secret")
+        (harness.root / "link").symlink_to(outside)
+        for op in (
+            lambda: backend.get("link/secret"),
+            lambda: backend.exists("link/secret"),
+            lambda: backend.put("link/secret", b"overwritten"),
+        ):
+            with pytest.raises(BackendError):
+                op()
+        assert (outside / "secret").read_bytes() == b"secret"
+
+    def test_symlink_within_the_root_is_followed(self, harness, backend):
+        backend.put("real/blob", b"bytes")
+        (harness.root / "alias").symlink_to(harness.root / "real")
+        assert backend.get("alias/blob") == b"bytes"
+        assert backend.exists("alias/blob")
+        backend.put("alias/other", b"more")
+        assert (harness.root / "real" / "other").read_bytes() == b"more"
+
+
+def _push_entry(cache, tmp_path, files):
+    """Push one zlib entry whose install tree holds ``files``."""
+    spec = greedy_concretize(make_mock_repo(), "zlib", include_build_deps=False)
+    prefix = tmp_path / "build" / "zlib"
+    for rel, data in files.items():
+        (prefix / rel).parent.mkdir(parents=True, exist_ok=True)
+        (prefix / rel).write_bytes(data)
+    cache.push(spec, prefix)
+    for rel in files:
+        (prefix / rel).unlink()
+    return spec.dag_hash()
+
 
 class TestTreeContract:
-    def test_list_tree_includes_empty_dirs(self, backend):
-        backend.publish_tree(
-            "blobs/abc",
-            {"files/lib/libz.so": b"elf", "meta.json": b"{}"},
-            dirs=["files", "files/lib", "files/include"],
-        )
+    def test_list_tree_includes_empty_dirs(self, harness, backend):
+        backend.put("blobs/abc/files/lib/libz.so", b"elf")
+        backend.put("blobs/abc/meta.json", b"{}")
+        (harness.root / "blobs" / "abc" / "files" / "include").mkdir()
         files, dirs = backend.list_tree("blobs/abc")
         assert files == ["files/lib/libz.so", "meta.json"]
         assert "files/include" in dirs
@@ -174,39 +215,43 @@ class TestTreeContract:
             backend.list_tree("blobs/nope")
 
     def test_tree_exists(self, backend):
-        assert not backend.tree_exists("blobs/h/files")
-        backend.publish_tree("blobs/h", {"files/a": b"1"})
-        assert backend.tree_exists("blobs/h/files")
+        assert not backend.tree_exists("blobs/h")
+        backend.put("blobs/h/a", b"1")
+        assert backend.tree_exists("blobs/h")
 
-    def test_publish_replaces_previous_tree_completely(self, backend):
-        backend.publish_tree("blobs/h", {"files/a": b"1", "stale.json": b"x"})
-        backend.publish_tree("blobs/h", {"files/b": b"2"})
-        files, _ = backend.list_tree("blobs/h")
-        assert files == ["files/b"]
+    def test_publish_replaces_previous_tree_completely(self, backend, tmp_path):
+        """Publishing an entry is one ``put`` of its bundle: a re-push
+        replaces every part of the previous entry — no stale file and
+        no stale signature survive."""
+        key = SigningKey.generate("publisher")
+        signed = BuildCache(backend=backend, name="c", signing_key=key)
+        h = _push_entry(signed, tmp_path, {"a": b"1", "stale.txt": b"x"})
+        _push_entry(BuildCache(backend=backend, name="c"), tmp_path, {"b": b"2"})
+        payload = BuildCache(backend=backend, name="c").fetch(h)
+        assert payload.files == {"b": b"2"}
+        assert payload.signature is None
 
     def test_fault_mid_publish_preserves_old_tree(
-        self, harness, backend, monkeypatch
+        self, harness, backend, monkeypatch, tmp_path
     ):
-        """old-entry-or-new-entry, over every transport: a publish dying
-        after one staged file must leave the previous tree fully
-        readable, and the retry must go through."""
-        backend.publish_tree(
-            "blobs/h", {"files/a": b"old", "meta.json": b"m1"}
-        )
-        harness.break_mid_publish(backend, monkeypatch)
+        """old-entry-or-new-entry, over every transport: a re-push dying
+        halfway through its upload leaves the previous entry whole and
+        verifiable, and the retry goes through."""
+        key = SigningKey.generate("publisher")
+        cache = BuildCache(backend=backend, name="c", signing_key=key)
+        h = _push_entry(cache, tmp_path, {"a": b"old", "meta.txt": b"m1"})
+        harness.break_next_put(monkeypatch)
         with pytest.raises(OSError):
-            backend.publish_tree(
-                "blobs/h", {"files/a": b"new", "meta.json": b"m2"}
-            )
+            _push_entry(cache, tmp_path, {"a": b"new" * 1000, "meta.txt": b"m2"})
         monkeypatch.undo()
 
-        files, _ = backend.list_tree("blobs/h")
-        assert sorted(files) == ["files/a", "meta.json"]
-        assert backend.get("blobs/h/files/a") == b"old"
-        assert backend.get("blobs/h/meta.json") == b"m1"
-        # no staging droppings visible under the published prefix
-        leftovers = [p.name for p in (harness.root / "blobs").iterdir()]
-        assert leftovers == ["h"]
+        trusting = BuildCache(backend=backend, name="c", trust=TrustStore([key]))
+        payload = trusting.verify_payload(trusting.fetch(h))
+        assert payload.files == {"a": b"old", "meta.txt": b"m1"}
+        # no temp file left beside the published bundle
+        assert sorted(p.name for p in (harness.root / "blobs").iterdir()) == [
+            f"{h}.bundle"
+        ]
 
-        backend.publish_tree("blobs/h", {"files/a": b"new", "meta.json": b"m2"})
-        assert backend.get("blobs/h/files/a") == b"new"
+        _push_entry(cache, tmp_path, {"a": b"new", "meta.txt": b"m2"})
+        assert cache.fetch(h).files["a"] == b"new"

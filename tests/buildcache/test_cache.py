@@ -8,7 +8,11 @@ from repro.binary.mockelf import MockBinary
 from repro.buildcache import (
     BuildCache,
     BuildCacheError,
+    CachedPayload,
+    LocalFSBackend,
+    MissingBlobError,
     SigningKey,
+    SimulatedRemoteBackend,
     TrustStore,
     greedy_concretize,
 )
@@ -39,6 +43,20 @@ def fake_install(prefix, soname="libzlib.so"):
     return prefix
 
 
+def bundle_path(cache, dag_hash):
+    return cache.blobs / f"{dag_hash}.bundle"
+
+
+def rewrite_bundle(cache, dag_hash, edit):
+    """Parse an entry's bundle, let ``edit`` change the in-memory
+    payload (manifest and signature stay as they are unless ``edit``
+    changes them), and store it back."""
+    path = bundle_path(cache, dag_hash)
+    payload = CachedPayload.from_bundle(dag_hash, path.read_bytes())
+    edit(payload)
+    path.write_bytes(payload.to_bundle())
+
+
 class TestPushExtract:
     def test_round_trip_relocates_binaries(self, zlib, tmp_path):
         src = fake_install(tmp_path / "build" / "zlib")
@@ -46,7 +64,7 @@ class TestPushExtract:
         cache.push(zlib, src)
         h = zlib.dag_hash()
         assert h in cache
-        assert cache.has_payload(h)
+        assert sorted(cache.fetch(h).files) == ["README", "lib/libzlib.so"]
 
         dest = tmp_path / "store" / "zlib"
         cache.extract(h, dest)
@@ -65,7 +83,7 @@ class TestPushExtract:
         ).write(src / "lib" / "libzlib.so")
         cache = BuildCache(tmp_path / "cache")
         cache.push(zlib, src, dep_prefixes={"abc123": "/buildfarm/mpich"})
-        assert cache.meta(zlib.dag_hash())["dep_prefixes"] == {
+        assert cache.fetch(zlib.dag_hash()).meta["dep_prefixes"] == {
             "abc123": "/buildfarm/mpich"
         }
 
@@ -90,7 +108,7 @@ class TestPushExtract:
 
     def test_extract_unknown_hash_fails_loudly(self, tmp_path):
         cache = BuildCache(tmp_path / "cache")
-        with pytest.raises(BuildCacheError, match="no metadata"):
+        with pytest.raises(MissingBlobError, match="no bundle"):
             cache.extract("deadbeef", tmp_path / "out")
 
 
@@ -175,7 +193,10 @@ class TestSigning:
         cache = BuildCache(tmp_path / "cache", signing_key=key)
         cache.push(zlib, src)
         h = zlib.dag_hash()
-        (cache.blobs / h / "files" / "README").write_text("evil payload")
+        # same length, so the bundle still parses: only the digest tells
+        rewrite_bundle(
+            cache, h, lambda p: p.files.update(README=b"evil payload!")
+        )
 
         trust = TrustStore()
         trust.trust(key)
@@ -188,12 +209,27 @@ class TestSigning:
         cache = BuildCache(tmp_path / "cache", signing_key=key)
         cache.push(zlib, src)
         h = zlib.dag_hash()
-        (cache.blobs / h / "files" / "sneaky.so").write_text("injected")
-
         trust = TrustStore()
         trust.trust(key)
-        with pytest.raises(BuildCacheError, match="unexpected file"):
-            BuildCache(tmp_path / "cache", trust=trust).extract(h, tmp_path / "out")
+        consumer = BuildCache(tmp_path / "cache", trust=trust)
+        pristine = bundle_path(cache, h).read_bytes()
+
+        # bytes appended outside the manifest are never ignored
+        bundle_path(cache, h).write_bytes(pristine + b"injected")
+        with pytest.raises(BuildCacheError, match="trailing"):
+            consumer.extract(h, tmp_path / "out")
+
+        # a file added to the manifest breaks its signature
+        def inject(payload):
+            payload.files["sneaky.so"] = b"injected"
+            payload.manifest["files"]["sneaky.so"] = {
+                "sha256": "0" * 64, "size": len(b"injected"),
+            }
+
+        bundle_path(cache, h).write_bytes(pristine)
+        rewrite_bundle(cache, h, inject)
+        with pytest.raises(BuildCacheError, match="does not verify"):
+            consumer.extract(h, tmp_path / "out")
 
     def test_unsigned_entry_rejected_by_trusting_consumer(self, zlib, tmp_path, key):
         src = fake_install(tmp_path / "build" / "zlib")
@@ -222,52 +258,145 @@ class TestSigning:
         cache = BuildCache(tmp_path / "cache", signing_key=key)
         cache.push(zlib, src)
         h = zlib.dag_hash()
-        (cache.blobs / h / "files" / "README").write_text("tampered")
+        rewrite_bundle(
+            cache, h, lambda p: p.files.update(README=b"tampered data")
+        )
         # no trust policy: extraction proceeds (local scratch mirror)
         dest = BuildCache(tmp_path / "cache").extract(h, tmp_path / "out")
-        assert (dest / "README").read_text() == "tampered"
+        assert (dest / "README").read_text() == "tampered data"
 
 
 class TestCorruptEntries:
     def test_manifest_without_meta_is_a_cache_error(self, zlib, tmp_path):
-        """An entry whose meta.json vanished must surface as a
-        BuildCacheError, not a raw FileNotFoundError, on both the meta
-        and the verify paths."""
+        """A bundle whose head lost its meta must surface as a
+        BuildCacheError, not a raw KeyError, for plain and trusting
+        readers alike."""
         key = SigningKey.generate("publisher")
         src = fake_install(tmp_path / "build" / "zlib")
         cache = BuildCache(tmp_path / "cache", signing_key=key)
         cache.push(zlib, src)
         h = zlib.dag_hash()
-        (cache.blobs / h / "meta.json").unlink()
+        data = bundle_path(cache, h).read_bytes()
+        head, _, payload = data.partition(b"\n")
+        document = json.loads(head)
+        del document["meta"]
+        bundle_path(cache, h).write_bytes(
+            json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n" + payload
+        )
 
-        with pytest.raises(BuildCacheError, match="no metadata"):
-            cache.meta(h)
-
-        trust = TrustStore()
-        trust.trust(key)
-        consumer = BuildCache(tmp_path / "cache", trust=trust)
-        with pytest.raises(BuildCacheError, match="no metadata"):
-            consumer._verify_files(h, {})
+        with pytest.raises(BuildCacheError, match="corrupt bundle"):
+            cache.fetch(h)
+        consumer = BuildCache(tmp_path / "cache", trust=TrustStore([key]))
+        with pytest.raises(BuildCacheError, match="corrupt bundle"):
+            consumer.extract(h, tmp_path / "out")
 
     def test_corrupt_meta_json_is_diagnosed(self, zlib, tmp_path):
         src = fake_install(tmp_path / "build" / "zlib")
         cache = BuildCache(tmp_path / "cache")
         cache.push(zlib, src)
         h = zlib.dag_hash()
-        (cache.blobs / h / "meta.json").write_text("{torn")
-        with pytest.raises(BuildCacheError, match="corrupt metadata"):
-            cache.meta(h)
+        bundle_path(cache, h).write_text("{torn")
+        with pytest.raises(BuildCacheError, match="corrupt bundle"):
+            cache.fetch(h)
+
+
+class TestBundle:
+    def test_fetch_is_one_get_and_verify_makes_no_call(self, zlib, tmp_path):
+        key = SigningKey.generate("publisher")
+        src = fake_install(tmp_path / "build" / "zlib")
+        BuildCache(tmp_path / "cache", signing_key=key).push(zlib, src)
+        backend = SimulatedRemoteBackend(LocalFSBackend(tmp_path / "cache"))
+        consumer = BuildCache(backend=backend, trust=TrustStore([key]))
+        backend.op_counts.clear()
+        payload = consumer.fetch(zlib.dag_hash())
+        assert backend.op_counts == {"get": 1}
+        consumer.verify_payload(payload)
+        assert payload.verified
+        assert backend.op_counts == {"get": 1}
+        assert payload.size == sum(
+            path.stat().st_size for path in src.rglob("*") if path.is_file()
+        )
+
+    def test_bundle_round_trips_with_empty_dirs(self, zlib, tmp_path):
+        src = fake_install(tmp_path / "build" / "zlib")
+        (src / "include" / "empty").mkdir(parents=True)
+        cache = BuildCache(tmp_path / "cache")
+        cache.push(zlib, src)
+        payload = cache.fetch(zlib.dag_hash())
+        assert payload.dirs == ["include", "include/empty", "lib"]
+        assert payload.manifest["dirs"] == payload.dirs
+        assert CachedPayload.from_bundle(
+            zlib.dag_hash(), payload.to_bundle()
+        ).files == payload.files
+        dest = cache.extract(zlib.dag_hash(), tmp_path / "out")
+        assert (dest / "include" / "empty").is_dir()
+
+    def test_every_single_byte_change_fails_verification(self, zlib, tmp_path):
+        """A reader ignores no byte: flipping any one byte of a signed
+        bundle makes the fetch or the verification fail."""
+        key = SigningKey.generate("publisher")
+        src = fake_install(tmp_path / "build" / "zlib")
+        cache = BuildCache(tmp_path / "cache", signing_key=key)
+        cache.push(zlib, src)
+        h = zlib.dag_hash()
+        consumer = BuildCache(tmp_path / "cache", trust=TrustStore([key]))
+        data = bundle_path(cache, h).read_bytes()
+        consumer.verify_payload(CachedPayload.from_bundle(h, data))
+        for position in range(len(data)):
+            for flip in (0x01, 0x20):
+                corrupted = bytearray(data)
+                corrupted[position] ^= flip
+                with pytest.raises(BuildCacheError):
+                    consumer.verify_payload(
+                        CachedPayload.from_bundle(h, bytes(corrupted))
+                    )
+
+    def test_non_canonical_head_is_rejected(self, zlib, tmp_path):
+        src = fake_install(tmp_path / "build" / "zlib")
+        cache = BuildCache(tmp_path / "cache")
+        cache.push(zlib, src)
+        h = zlib.dag_hash()
+        head, _, payload = bundle_path(cache, h).read_bytes().partition(b"\n")
+        spaced = json.dumps(json.loads(head), sort_keys=True).encode()
+        with pytest.raises(BuildCacheError, match="canonical"):
+            CachedPayload.from_bundle(h, spaced + b"\n" + payload)
+
+    def test_misfiled_bundle_is_rejected(self, zlib, tmp_path):
+        src = fake_install(tmp_path / "build" / "zlib")
+        cache = BuildCache(tmp_path / "cache")
+        cache.push(zlib, src)
+        data = bundle_path(cache, zlib.dag_hash()).read_bytes()
+        with pytest.raises(BuildCacheError, match="misfiled"):
+            CachedPayload.from_bundle("f" * 32, data)
+
+    def test_unsafe_payload_path_is_rejected(self, zlib, tmp_path):
+        src = fake_install(tmp_path / "build" / "zlib")
+        cache = BuildCache(tmp_path / "cache")
+        cache.push(zlib, src)
+        h = zlib.dag_hash()
+
+        def escape(payload):
+            payload.files["../escape"] = payload.files.pop("README")
+            entry = payload.manifest["files"].pop("README")
+            payload.manifest["files"]["../escape"] = entry
+
+        rewrite = bundle_path(cache, h)
+        payload = CachedPayload.from_bundle(h, rewrite.read_bytes())
+        escape(payload)
+        with pytest.raises(BuildCacheError, match="malformed manifest entry"):
+            CachedPayload.from_bundle(h, payload.to_bundle())
 
 
 class TestTornPush:
     def test_interrupted_repush_preserves_previous_entry(
         self, zlib, tmp_path, monkeypatch
     ):
-        """The torn-push regression: a re-push dying mid-copy used to
+        """The torn-push regression: a re-push dying mid-write used to
         leave the old signed manifest over a partial new payload.  The
-        entry now publishes atomically — after the fault the previous
-        entry is intact and still extracts."""
-        from repro.buildcache.backend import LocalFSBackend
+        entry is one bundle written with one atomic put — after the
+        fault the previous entry is intact and still extracts."""
+        import os
 
         key = SigningKey.generate("publisher")
         src = fake_install(tmp_path / "build" / "zlib")
@@ -278,16 +407,10 @@ class TestTornPush:
         new_src = fake_install(tmp_path / "build2" / "zlib")
         (new_src / "EXTRA").write_text("second revision\n")
 
-        real_stage = LocalFSBackend._stage_file
-        calls = {"n": 0}
+        def reset(fd):
+            raise OSError("connection reset")
 
-        def flaky_stage(self, path, data):
-            calls["n"] += 1
-            if calls["n"] == 3:  # die partway through the payload copy
-                raise OSError("connection reset")
-            real_stage(self, path, data)
-
-        monkeypatch.setattr(LocalFSBackend, "_stage_file", flaky_stage)
+        monkeypatch.setattr(os, "fsync", reset)
         with pytest.raises(OSError, match="connection reset"):
             cache.push(zlib, new_src)
         monkeypatch.undo()
@@ -299,6 +422,7 @@ class TestTornPush:
         dest = consumer.extract(h, tmp_path / "out")
         assert (dest / "README").read_text() == "not a binary\n"
         assert not (dest / "EXTRA").exists()
+        assert sorted(p.name for p in cache.blobs.iterdir()) == [f"{h}.bundle"]
 
         # and the re-push completes cleanly afterwards
         cache.push(zlib, new_src)
@@ -306,3 +430,43 @@ class TestTornPush:
             h, tmp_path / "out2"
         )
         assert (dest2 / "EXTRA").read_text() == "second revision\n"
+
+    def test_repush_killed_mid_write_preserves_previous_entry(
+        self, zlib, tmp_path
+    ):
+        """A publisher killed while writing a re-pushed bundle (no
+        cleanup runs) leaves the previous bundle whole and verifiable."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        key = SigningKey.generate("publisher")
+        src = fake_install(tmp_path / "build" / "zlib")
+        BuildCache(tmp_path / "cache", signing_key=key).push(zlib, src)
+        h = zlib.dag_hash()
+        before = bundle_path(BuildCache(tmp_path / "cache"), h).read_bytes()
+        new_src = fake_install(tmp_path / "build2" / "zlib")
+        (new_src / "EXTRA").write_text("second revision\n")
+        script = f"""
+import os
+from repro.buildcache import BuildCache, SigningKey, greedy_concretize
+from repro.repos.mock import make_mock_repo
+zlib = greedy_concretize(make_mock_repo(), "zlib", include_build_deps=False)
+cache = BuildCache({str(tmp_path / "cache")!r},
+                   signing_key=SigningKey({key.name!r}, {key.secret!r}))
+os.fsync = lambda fd: os._exit(9)  # die with the new bundle half-written
+cache.push(zlib, {str(new_src)!r})
+"""
+        env = dict(os.environ)
+        src_dir = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = f"{src_dir}:{env.get('PYTHONPATH', '')}"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 9, proc.stderr
+        consumer = BuildCache(tmp_path / "cache", trust=TrustStore([key]))
+        assert bundle_path(consumer, h).read_bytes() == before
+        dest = consumer.extract(h, tmp_path / "out")
+        assert not (dest / "EXTRA").exists()

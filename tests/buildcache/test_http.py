@@ -194,7 +194,7 @@ class TestServerProtocol:
             with pytest.raises(ReadOnlyBackendError, match="read-only"):
                 backend.put("k", b"v")
             with pytest.raises(ReadOnlyBackendError, match="read-only"):
-                backend.publish_tree("t", {"f": b"v"})
+                backend.append_line("journal.jsonl", b"v\n")
         finally:
             server.shutdown()
             server.server_close()
@@ -223,6 +223,63 @@ class TestServerProtocol:
             server.server_close()
         assert response.startswith(b"HTTP/1.1 400 "), response[:80]
         assert b"sibling-secret" not in response
+
+    @staticmethod
+    def _send_truncated(server, request_line, declared, body):
+        """Send a request whose body stops short of its declared
+        ``Content-Length``, half-close, and return the raw response."""
+        with socket.create_connection((server.host, server.port), 10) as sock:
+            sock.sendall(
+                f"{request_line} HTTP/1.1\r\nHost: {server.host}\r\n"
+                f"Content-Length: {declared}\r\n\r\n".encode() + body
+            )
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        return response
+
+    def test_truncated_put_stores_nothing(self, tmp_path):
+        """A client dying mid-upload must not publish a torn object:
+        a new key stays absent, an existing one keeps its bytes."""
+        (tmp_path / "pub" / "index.d").mkdir(parents=True)
+        (tmp_path / "pub" / "index.d" / "cd.json").write_bytes(b'{"old": 1}')
+        server = start_server(tmp_path / "pub")
+        try:
+            for key in ("index.d/ab.json", "index.d/cd.json"):
+                response = self._send_truncated(
+                    server, f"PUT /{key}", 100, b'{"torn": 1'
+                )
+                assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert not (tmp_path / "pub" / "index.d" / "ab.json").exists()
+        assert (tmp_path / "pub" / "index.d" / "cd.json").read_bytes() == (
+            b'{"old": 1}'
+        )
+        assert sorted(p.name for p in (tmp_path / "pub" / "index.d").iterdir()) == [
+            "cd.json"
+        ]
+
+    def test_truncated_append_stores_nothing(self, tmp_path):
+        (tmp_path / "pub").mkdir()
+        (tmp_path / "pub" / "journal.jsonl").write_bytes(b'{"a": 1}\n')
+        server = start_server(tmp_path / "pub")
+        try:
+            response = self._send_truncated(
+                server, "POST /journal.jsonl?op=append", 50, b'{"b": '
+            )
+            assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+            response = self._send_truncated(
+                server, "POST /fresh.jsonl?op=append", 50, b'{"b": '
+            )
+            assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert (tmp_path / "pub" / "journal.jsonl").read_bytes() == b'{"a": 1}\n'
+        assert not (tmp_path / "pub" / "fresh.jsonl").exists()
 
     def test_5xx_maps_to_transient_error(self, served):
         backend = HTTPBackend(served.url)
@@ -298,6 +355,31 @@ class TestHTTPInstall:
         assert len(report.extracted) == 4
         assert tree_digest(tmp_path / "s1") == tree_digest(tmp_path / "s2")
 
+    def test_one_get_per_entry_at_any_fetch_width(self, served, repo, spec,
+                                                  tmp_path):
+        """An install reads the index, then makes exactly one GET per
+        extracted entry; the pipelined path makes the same requests and
+        writes the same trees."""
+        logs = {}
+        for jobs, store in ((1, "s1"), (4, "s4")):
+            before = len(served.request_log)
+            http_cache = BuildCache(
+                backend=HTTPBackend(served.url, name="H"), name="H"
+            )
+            report = Installer(
+                tmp_path / store, repo, caches=[http_cache], fetch_jobs=jobs
+            ).install(spec)
+            assert len(report.extracted) == 4
+            logs[jobs] = sorted(served.request_log[before:])
+        bundles = [r for r in logs[1] if r[1].endswith(".bundle")]
+        assert len(bundles) == 4
+        assert all(method == "GET" and status == 200
+                   for method, _path, status in bundles)
+        # the rest is the index: manifest, journal probe, sidecar
+        assert len(logs[1]) == len(bundles) + 3, logs[1]
+        assert logs[4] == logs[1]
+        assert tree_digest(tmp_path / "s1") == tree_digest(tmp_path / "s4")
+
     def test_cli_install_through_http_mirror(self, served, tmp_path, capsys):
         rc = main([
             "--repo", "mock", "install", "example@1.1.0 ^mpich@3.4.3",
@@ -357,9 +439,9 @@ class TestHTTPInstall:
         assert tree_digest(tmp_path / "s2") == want
 
     def test_push_through_http_round_trips(self, repo, spec, tmp_path):
-        """The write path: pushing through HTTPBackend stages parts over
-        the wire and commits atomically; the served directory is then a
-        fully valid buildcache when opened locally."""
+        """The write path: pushing through HTTPBackend sends each entry
+        as one bundle PUT; the served directory is then a fully valid
+        buildcache when opened locally."""
         source = Installer(tmp_path / "seed", repo)
         source.install(spec)
         (tmp_path / "pub").mkdir()
@@ -373,7 +455,7 @@ class TestHTTPInstall:
             server.server_close()
         reopened = BuildCache(tmp_path / "pub", name="pub")
         assert spec.dag_hash() in reopened
-        assert reopened.has_payload(spec.dag_hash())
+        assert reopened.fetch(spec.dag_hash()).files
         target = Installer(tmp_path / "store", repo, caches=[reopened])
         report = target.install(spec)
         assert not report.built

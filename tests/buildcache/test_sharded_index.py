@@ -182,7 +182,7 @@ os._exit(9)  # die before save_index(): no atexit, no flush, nothing
         assert zlib.dag_hash() in reopened
         (restored,) = reopened.all_specs()
         assert restored.dag_hash() == zlib.dag_hash()
-        assert reopened.has_payload(zlib.dag_hash())
+        assert reopened.fetch(zlib.dag_hash()).files
 
     def test_save_index_survives_hard_process_kill(self, zlib, tmp_path):
         """save_index() writes shards + manifest through the fsyncing
@@ -298,7 +298,11 @@ class TestBuildCacheIntegration:
         obs.reset()
         reopened = BuildCache(tmp_path / "cache")
         assert "buildcache.shard_load" not in trace.phase_stats()
+        # membership hits come from the exact summary: still no shard
         assert zlib.dag_hash() in reopened
+        assert "buildcache.shard_load" not in trace.phase_stats()
+        # the spec's document is what needs its shard
+        assert reopened.materialize_spec(zlib.dag_hash()).concrete
         assert trace.phase_stats()["buildcache.shard_load"]["count"] == 1
 
 

@@ -113,6 +113,31 @@ class TestV3OnDisk:
         assert "buildcache.shard_load" not in trace.phase_stats()
         assert metrics.counter("buildcache.summary_hits").value == 1
 
+    def test_positive_lookup_reads_no_shard(self, tmp_path):
+        """The sidecar is exact and pinned by the manifest, so a hit is
+        answered from it just like a miss."""
+        docs = populate(tmp_path, 200)
+        obs.reset()
+        index = ShardedIndex(tmp_path)
+        for h in list(docs)[:20]:
+            assert index.has_spec(h)
+        assert "buildcache.shard_load" not in trace.phase_stats()
+        assert metrics.counter("buildcache.summary_hits").value == 20
+
+    def test_journal_overlay_answers_before_the_summary(self, tmp_path):
+        """A pushed-but-unsaved hash on an unparsed shard is found even
+        though the saved sidecar does not list it."""
+        docs = populate(tmp_path, 40)
+        obs.reset()
+        index = ShardedIndex(tmp_path)
+        h, doc = fake_doc(41)
+        h = next(iter(docs))[:2] + h[2:]  # land on a shard already saved
+        index.record_push({h: doc}, {}, {})
+        assert index.has_spec(h)
+        reopened = ShardedIndex(tmp_path)  # the journal replays
+        assert reopened.has_spec(h)
+        assert "buildcache.shard_load" not in trace.phase_stats()
+
     def test_enumeration_reads_no_shard(self, tmp_path):
         docs = populate(tmp_path, 150)
         obs.reset()

@@ -1,6 +1,7 @@
 """Failure-injection tests: corrupt artifacts, broken stores, bad input."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,9 +34,10 @@ class TestCorruptArtifacts:
         """A non-mock file in the cache is treated as opaque data (like
         headers or docs in a real package) — extraction must not crash."""
         spec, installer, cache = pipeline
-        blob = cache.blobs / spec.dag_hash() / "files"
-        (blob / "share").mkdir(exist_ok=True)
-        (blob / "share" / "README").write_bytes(b"plain text, not a binary")
+        prefix = Path(installer.database.prefix_of(spec))
+        (prefix / "share").mkdir(exist_ok=True)
+        (prefix / "share" / "README").write_bytes(b"plain text, not a binary")
+        cache.push(spec, prefix)
         out = tmp_path / "out"
         cache.extract(spec.dag_hash(), out)
         assert (out / "share" / "README").read_bytes() == b"plain text, not a binary"
@@ -64,7 +66,14 @@ class TestCorruptArtifacts:
 class TestBrokenMetadata:
     def test_missing_cache_meta(self, pipeline, tmp_path):
         spec, installer, cache = pipeline
-        (cache.blobs / spec.dag_hash() / "meta.json").unlink()
+        bundle = cache.blobs / f"{spec.dag_hash()}.bundle"
+        head, _, payload = bundle.read_bytes().partition(b"\n")
+        document = json.loads(head)
+        del document["meta"]
+        bundle.write_bytes(
+            json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n" + payload
+        )
         with pytest.raises(BuildCacheError):
             cache.extract(spec.dag_hash(), tmp_path / "x")
 
@@ -132,3 +141,56 @@ class TestInstallerRobustness:
         report = installer.install_all(result.roots)
         zlib_installs = [n for n in report.built if n == "zlib"]
         assert len(zlib_installs) == 1, "shared zlib built once"
+
+
+class TestInstallFailuresAreErrors:
+    """Install failures are the user's cache or store problem, not a bug:
+    one ``error:`` line and exit 1, never the crash-report path."""
+
+    def _assert_plain_error(self, rc, capsys, telemetry):
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: "), err
+        assert "internal error" not in err
+        assert list(telemetry.glob("crash-*.json")) == []
+        return err
+
+    def test_corrupt_bundle(self, pipeline, tmp_path, capsys):
+        from repro.cli import main
+
+        spec, installer, cache = pipeline
+        (cache.blobs / f"{spec['zlib'].dag_hash()}.bundle").write_text("{torn")
+        telemetry = tmp_path / "telemetry"
+        rc = main([
+            "--repo", "mock", "install", "example@1.1.0 ^mpich@3.4.3",
+            "--store", str(tmp_path / "s3"), "--cache", str(tmp_path / "cache"),
+            "--telemetry-dir", str(telemetry),
+        ])
+        err = self._assert_plain_error(rc, capsys, telemetry)
+        assert "corrupt bundle" in err
+
+    @pytest.mark.parametrize("verb", ["install", "env install"])
+    def test_missing_build_spec_binary(self, pipeline, tmp_path, capsys, verb):
+        from repro.cli import main
+
+        spec, installer, cache = pipeline
+        # still indexed, so the solver splices it; its binary is gone
+        (cache.blobs / f"{spec.dag_hash()}.bundle").unlink()
+        telemetry = tmp_path / "telemetry"
+        common = [
+            "--store", str(tmp_path / "s3"), "--cache", str(tmp_path / "cache"),
+            "--telemetry-dir", str(telemetry),
+        ]
+        if verb == "install":
+            rc = main(["--repo", "mock", "install", "--splice",
+                       "example@1.1.0 ^mpiabi", *common])
+        else:
+            env_dir = str(tmp_path / "env")
+            assert main(["--repo", "mock", "env", "create",
+                         "example@1.1.0 ^mpiabi", "--env", env_dir,
+                         "--splice"]) == 0
+            capsys.readouterr()
+            rc = main(["--repo", "mock", "env", "install", "--env", env_dir,
+                       *common])
+        err = self._assert_plain_error(rc, capsys, telemetry)
+        assert "no binary for build spec example" in err

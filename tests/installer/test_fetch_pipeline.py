@@ -5,7 +5,7 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.buildcache import BuildCache, SigningKey, TrustStore
+from repro.buildcache import BuildCache, BuildCacheError, SigningKey, TrustStore
 from repro.cli import main
 from repro.concretize import Concretizer
 from repro.installer import InstallError, Installer
@@ -121,8 +121,10 @@ class TestFetchErrors:
     def test_tampered_entry_fails_the_install(self, repo, spec, tmp_path):
         key = SigningKey.generate("publisher")
         cache = make_cache(repo, spec, tmp_path, signing_key=key)
-        blob = cache.blobs / spec.dag_hash() / "files" / "lib" / "libexample.so"
-        blob.write_text("evil payload")
+        bundle = cache.blobs / f"{spec.dag_hash()}.bundle"
+        data = bytearray(bundle.read_bytes())
+        data[-2] ^= 0x01  # one payload byte of libexample.so
+        bundle.write_bytes(bytes(data))
         trust = TrustStore()
         trust.trust(key)
         consumer = BuildCache(tmp_path / "cache", trust=trust)
@@ -131,6 +133,49 @@ class TestFetchErrors:
         )
         with pytest.raises(InstallError, match="tampered"):
             target.install(spec)
+
+    @pytest.mark.parametrize("fetch_jobs", [1, 4])
+    def test_tampered_bundle_fails_the_node(self, repo, spec, tmp_path,
+                                            fetch_jobs):
+        key = SigningKey.generate("publisher")
+        cache = make_cache(repo, spec, tmp_path, signing_key=key)
+        bundle = cache.blobs / f"{spec['zlib'].dag_hash()}.bundle"
+        data = bytearray(bundle.read_bytes())
+        data[len(data) // 3] ^= 0x01
+        bundle.write_bytes(bytes(data))
+        consumer = BuildCache(tmp_path / "cache", trust=TrustStore([key]))
+        target = Installer(
+            tmp_path / "store", repo, caches=[consumer], fetch_jobs=fetch_jobs
+        )
+        with pytest.raises((InstallError, BuildCacheError)):
+            target.install(spec)
+        assert target.database.get(spec["zlib"].dag_hash()) is None
+
+    @pytest.mark.parametrize("fetch_jobs", [1, 4])
+    def test_indexed_hash_without_bundle_is_a_miss(self, repo, spec, tmp_path,
+                                                   fetch_jobs):
+        """The index still lists zlib but its bundle is gone: the next
+        cache serves it, and with no other cache it is built."""
+        cache = make_cache(repo, spec, tmp_path)
+        zlib = spec["zlib"].dag_hash()
+        (cache.blobs / f"{zlib}.bundle").unlink()
+        target = Installer(
+            tmp_path / "store", repo, caches=[cache], fetch_jobs=fetch_jobs
+        )
+        report = target.install(spec)
+        assert report.built == ["zlib"]
+        assert sorted(report.extracted) == ["bzip2", "example", "mpich"]
+
+        second = make_cache(repo, spec, tmp_path / "second")
+        obs.reset()
+        target = Installer(
+            tmp_path / "store2", repo, caches=[cache, second],
+            fetch_jobs=fetch_jobs,
+        )
+        report = target.install(spec)
+        assert not report.built
+        assert len(report.extracted) == 4
+        assert metrics.counter("buildcache.fetches").value == 4
 
     def test_signed_pipeline_round_trip(self, repo, spec, tmp_path):
         key = SigningKey.generate("publisher")
