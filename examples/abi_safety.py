@@ -20,7 +20,8 @@ import tempfile
 from pathlib import Path
 
 from repro import BuildCache, Concretizer, Installer, Loader
-from repro.binary import MockBinary, RewireError, check_abi_compatibility
+from repro.binary import MockBinary, check_abi_compatibility
+from repro.installer import InstallError
 from repro.repos.radiuss import make_radiuss_repo
 
 
@@ -62,7 +63,7 @@ def main() -> None:
         try:
             target.install(unsafe)
             raise AssertionError("unsafe rewire must be refused")
-        except RewireError as e:
+        except InstallError as e:
             print(f"\ninstaller: {e}")
 
         # ---- layer 3: the loader -----------------------------------------

@@ -1,7 +1,7 @@
 """The installer: turn concrete specs into an installed software store.
 
 For every node of a concretized DAG (dependencies first) the installer
-picks one of four paths:
+picks one of five paths:
 
 1. **already installed** — hash present in the database: skip;
 2. **external** — register the vendor-provided prefix (e.g. cray-mpich);
@@ -13,11 +13,23 @@ picks one of four paths:
 
 The report distinguishes these paths so the benchmarks can count
 "builds avoided by splicing".
+
+Every install is one *wave* over the merged DAG of its roots: a node is
+ready once all of its dependencies are installed, and ready nodes run
+in the roots' post-order.  One worker, the default, runs each node
+inline on the calling thread; ``jobs`` or ``fetch_jobs`` above 1 hands
+the same ready queue to the thread pool in
+:mod:`repro.installer.parallel`.  At every width a node that fails with
+an :class:`InstallError` or a ``BuildCacheError`` skips only its
+dependents, the database is saved once when the wave ends, and the wave
+then raises one :class:`InstallError` naming every failure.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -25,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..binary.abi import AbiReport, check_abi_compatibility
 from ..binary.mockelf import MockBinary, BinaryFormatError
 from ..binary.rewire import plan_rewire, rewire_binary, RewireError
-from ..buildcache.backend import MissingBlobError
+from ..buildcache.backend import BuildCacheError, MissingBlobError
 from ..buildcache.cache import BuildCache, CachedPayload
 from ..obs import metrics, trace
 from ..package.repository import Repository
@@ -62,6 +74,68 @@ class InstallReport:
         )
 
 
+class _Wave:
+    """The merged DAG of one install request and its bookkeeping.
+
+    Nodes are numbered in the roots' post-order, deduplicated by hash.
+    ``ready`` is a heap of the nodes whose dependencies are all
+    installed, so one worker installs them in exactly that order.  A
+    failed node never releases its dependents: they stay waiting and
+    are reported as skipped.  ``lock`` guards the database, the report's
+    ``installed``, ``already`` and ``externals`` lists and the worker
+    counters.
+    """
+
+    def __init__(self, specs: Sequence[Spec]):
+        index: Dict[str, int] = {}
+        self.nodes: List[Spec] = []
+        for spec in specs:
+            for node in spec.traverse(order="post"):
+                h = node.dag_hash()
+                if h not in index:
+                    index[h] = len(self.nodes)
+                    self.nodes.append(node)
+        self.explicit = {index[spec.dag_hash()] for spec in specs}
+        self.dependents: List[List[int]] = [[] for _ in self.nodes]
+        self.waiting: List[int] = []
+        for i, node in enumerate(self.nodes):
+            deps = {index[e.spec.dag_hash()] for e in node.edges()}
+            self.waiting.append(len(deps))
+            for dep in deps:
+                self.dependents[dep].append(i)
+        self.ready = [i for i, count in enumerate(self.waiting) if not count]
+        self.failed: Dict[int, Exception] = {}
+        self.report = InstallReport()
+        self.lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+
+    def pop(self) -> int:
+        return heapq.heappop(self.ready)
+
+    def finish(self, i: int, error: Optional[Exception]) -> None:
+        """Record node ``i``'s outcome; a success releases its dependents."""
+        if error is not None:
+            self.failed[i] = error
+            return
+        for dependent in self.dependents[i]:
+            self.waiting[dependent] -= 1
+            if not self.waiting[dependent]:
+                heapq.heappush(self.ready, dependent)
+
+    def error(self) -> InstallError:
+        failures = "; ".join(
+            f"{self.nodes[i].name}: {e}" for i, e in self.failed.items()
+        )
+        message = f"install failed for {failures}"
+        skipped = sorted(
+            {self.nodes[i].name for i, count in enumerate(self.waiting) if count}
+        )
+        if skipped:
+            message += f" (skipped dependents: {skipped})"
+        return InstallError(message)
+
+
 class Installer:
     """Installs concrete specs into a store directory."""
 
@@ -78,8 +152,8 @@ class Installer:
         self.caches = list(caches)
         self.verify_abi = verify_abi
         #: workers for the pipelined cache fetch/verify stage (the
-        #: ``--fetch-jobs`` knob); >1 also runs node extraction through
-        #: the DAG scheduler so independent extracts overlap
+        #: ``--fetch-jobs`` knob); >1 also widens the wave to at least
+        #: as many workers so independent extracts overlap
         self.fetch_jobs = max(int(fetch_jobs), 1)
         self.database = Database(self.store_root)
         self.builder = Builder(repo)
@@ -94,114 +168,99 @@ class Installer:
         return self.database.prefix_of(spec)
 
     # ------------------------------------------------------------------
-    def install(self, spec: Spec, explicit: bool = True, jobs: int = 1) -> InstallReport:
-        """Install a concrete spec and its dependencies (deps first).
-
-        ``jobs > 1`` builds independent DAG nodes concurrently (the
-        ``spack install -j`` analogue, :mod:`repro.installer.parallel`).
-        An installer constructed with ``fetch_jobs > 1`` pipelines the
-        binary hot path: blob fetch + signature verify of cache hits
-        run on their own bounded pool while extraction of independent
-        nodes overlaps in the DAG scheduler.
-        """
-        if not spec.concrete:
-            raise InstallError(f"cannot install abstract spec {spec}")
-        if jobs > 1 or self.fetch_jobs > 1:
-            return self._install_parallel([spec], jobs)
-        report = InstallReport()
-        with trace.span("install.run", root=spec.name, jobs=1):
-            for node in spec.traverse(order="post"):
-                self._install_node(node, node is spec and explicit, report)
-            self.database.save()
-        report.simulated_build_time = self.builder.simulated_build_time
-        logger.info("installed %s: %s", spec.name, report.summary())
-        return report
+    def install(self, spec: Spec, jobs: int = 1) -> InstallReport:
+        """Install a concrete spec and its dependencies (deps first)."""
+        return self.install_all([spec], jobs)
 
     def install_all(self, specs: Sequence[Spec], jobs: int = 1) -> InstallReport:
-        if jobs > 1 or self.fetch_jobs > 1:
-            return self._install_parallel(specs, jobs)
-        report = InstallReport()
-        with trace.span("install.run", roots=len(specs), jobs=1):
-            for spec in specs:
-                for node in spec.traverse(order="post"):
-                    self._install_node(node, node is spec, report)
+        """Install the merged DAG of ``specs`` in one wave.
+
+        ``jobs > 1`` installs independent DAG nodes concurrently (the
+        ``spack install -j`` analogue).  An installer constructed with
+        ``fetch_jobs > 1`` pipelines the binary hot path: blob fetch +
+        signature verify of cache hits run on their own bounded pool
+        while extraction stays DAG-ordered in a wave at least
+        ``fetch_jobs`` workers wide.
+        """
+        for spec in specs:
+            if not spec.concrete:
+                raise InstallError(f"cannot install abstract spec {spec}")
+        wave = _Wave(specs)
+        width = max(jobs, self.fetch_jobs)
+        try:
+            with trace.span(
+                "install.run", roots=len(specs), nodes=len(wave.nodes),
+                jobs=width, fetch_jobs=self.fetch_jobs,
+            ) as span:
+                if width == 1:
+                    while wave.ready:
+                        i = wave.pop()
+                        wave.finish(i, self._install_node(wave, i))
+                else:
+                    from .parallel import run_pool
+
+                    run_pool(self, wave, width)
+                span.set(
+                    installed=len(wave.report.installed),
+                    failed=len(wave.failed), max_concurrency=wave.peak,
+                )
+        finally:
             self.database.save()
+        metrics.gauge("install.max_concurrency").max(wave.peak)
+        if wave.failed:
+            raise wave.error() from next(iter(wave.failed.values()))
+        report = wave.report
         report.simulated_build_time = self.builder.simulated_build_time
         logger.info("installed %d root(s): %s", len(specs), report.summary())
         return report
 
-    def _install_parallel(self, specs: Sequence[Spec], jobs: int) -> InstallReport:
-        from .parallel import run_parallel_install
-
-        report = InstallReport()
-        # the fetch pipeline needs node-level concurrency for extraction
-        # overlap, so the worker pool is at least fetch_jobs wide
-        plan = run_parallel_install(
-            self, specs, max(jobs, self.fetch_jobs), report=report,
-            fetch_jobs=self.fetch_jobs,
-        )
-        if plan.failed:
-            failures = "; ".join(f"{k}: {v}" for k, v in plan.failed.items())
-            raise InstallError(
-                f"parallel install failed for {failures} "
-                f"(skipped dependents: {sorted(plan.skipped)})"
-            )
-        report.simulated_build_time = self.builder.simulated_build_time
-        return report
-
     # ------------------------------------------------------------------
-    def _install_node_locked(self, node: Spec, explicit: bool, report, lock) -> None:
-        """Thread-safe node install: database reads/writes serialize
-        under ``lock``; the slow work (build / extract / rewire) runs
-        outside it.  Dependencies must already be installed."""
-        h = node.dag_hash()
+    def _install_node(self, wave: _Wave, i: int) -> Optional[Exception]:
+        """Install node ``i`` of ``wave``; its dependencies are installed.
+
+        Every database write of an install happens here, under the
+        wave's lock; the slow work (build / extract / rewire) runs
+        outside it.  Returns the node's install failure, or ``None``.
+        Any other exception is a bug and propagates unchanged.
+        """
+        node, report, lock = wave.nodes[i], wave.report, wave.lock
+        explicit = i in wave.explicit
         with lock:
-            if self.database.get(h) is not None:
-                report.already.append(node.name)
-                if explicit:
-                    self.database.add(node, self.database.prefix_of(node), True)
-                return
-            if node.external:
-                if not node.external_prefix:
-                    raise InstallError(f"external {node.name} has no prefix")
-                self.database.add(node, node.external_prefix, explicit)
-                report.externals.append(node.name)
+            wave.running += 1
+            wave.peak = max(wave.peak, wave.running)
+            occupancy = wave.running
+        # worker-occupancy histogram: how many workers were busy when
+        # each node started (p50 near `jobs` means the pool is saturated)
+        metrics.observe("install.worker_occupancy", occupancy)
+        try:
+            with lock:
+                if self.database.get(node.dag_hash()) is not None:
+                    report.already.append(node.name)
+                    if explicit:
+                        self.database.add(node, self.database.prefix_of(node), True)
+                    return None
+                if node.external:
+                    if not node.external_prefix:
+                        raise InstallError(f"external {node.name} has no prefix")
+                    self.database.add(node, node.external_prefix, explicit)
+                    report.externals.append(node.name)
+                    report.installed.append(node)
+                    return None
+            prefix = self.prefix_for(node)
+            if node.spliced:
+                self._install_spliced(node, prefix, report)
+            elif not self._try_extract(node, prefix, report):
+                self._build(node, prefix, report)
+            with lock:
+                self.database.add(node, str(prefix), explicit)
                 report.installed.append(node)
-                return
-        prefix = self.prefix_for(node)
-        if node.spliced:
-            self._install_spliced(node, prefix, report)
-        elif self._try_extract(node, prefix, report):
-            pass
-        else:
-            self._build(node, prefix, report)
-        with lock:
-            self.database.add(node, str(prefix), explicit)
-            report.installed.append(node)
-
-    def _install_node(self, node: Spec, explicit: bool, report: InstallReport) -> None:
-        if self.database.get(node.dag_hash()) is not None:
-            report.already.append(node.name)
-            if explicit:
-                self.database.add(node, self.database.prefix_of(node), True)
-            return
-        if node.external:
-            if not node.external_prefix:
-                raise InstallError(f"external {node.name} has no prefix")
-            self.database.add(node, node.external_prefix, explicit)
-            report.externals.append(node.name)
-            report.installed.append(node)
-            return
-
-        prefix = self.prefix_for(node)
-        if node.spliced:
-            self._install_spliced(node, prefix, report)
-        elif self._try_extract(node, prefix, report):
-            pass
-        else:
-            self._build(node, prefix, report)
-        self.database.add(node, str(prefix), explicit)
-        report.installed.append(node)
+            return None
+        except (InstallError, BuildCacheError) as e:
+            logger.info("install of %s failed: %s", node.name, e)
+            return e
+        finally:
+            with lock:
+                wave.running -= 1
 
     def _dep_prefix_map(self, meta: dict) -> Dict[str, str]:
         """Build-machine dependency prefixes -> local store prefixes.
@@ -283,15 +342,17 @@ class Installer:
     def _install_spliced(self, node: Spec, prefix: Path, report: InstallReport) -> None:
         """Install a spliced spec: fetch its build spec's binaries and
         rewire them against the spliced dependencies."""
-        with trace.span("install.rewire", name=node.name):
-            self._install_spliced_inner(node, prefix, report)
+        try:
+            with trace.span("install.rewire", name=node.name):
+                self._install_spliced_inner(node, prefix, report)
+        except RewireError as e:
+            raise InstallError(str(e)) from e
         logger.debug("rewired %s (spliced, no rebuild)", node.name)
 
     def _install_spliced_inner(
         self, node: Spec, prefix: Path, report: InstallReport
     ) -> None:
-        build_spec = node.build_spec
-        source_prefix, old_prefixes = self._locate_build_spec(build_spec)
+        source_prefix, old_prefixes = self._locate_build_spec(node)
 
         def old_prefix_of(dep: Spec) -> str:
             recorded = old_prefixes.get(dep.dag_hash())
@@ -476,14 +537,18 @@ class Installer:
 
         return check
 
-    def _locate_build_spec(self, build_spec: Spec) -> tuple:
-        """Find binaries for the build spec: installed locally, else in
-        a cache (staged without relocation, so its references still
-        point at the recorded build-machine prefixes).
+    def _locate_build_spec(self, node: Spec) -> tuple:
+        """Find binaries for the spliced ``node``'s build spec: installed
+        locally, else in a cache (staged without relocation, so its
+        references still point at the recorded build-machine prefixes).
+        The staging tree is named after ``node``, not the build spec:
+        splices of one binary rewired at once each read their own copy,
+        and discarding one never removes another's.
 
         Returns ``(source_prefix, old_dep_prefixes)`` where the mapping
         gives each dependency's location at build time (by hash).
         """
+        build_spec = node.build_spec
         record = self.database.get(build_spec.dag_hash())
         if record is not None:
             return Path(record.prefix), {}
@@ -495,7 +560,7 @@ class Installer:
                 "requires the original binary to relink"
             )
         cache, payload = found
-        staging = self.store_root / ".staging" / prefix_name(build_spec)
+        staging = self.store_root / ".staging" / prefix_name(node)
         if not staging.exists():
             cache.extract_payload(payload, staging)
         return staging, dict(payload.meta.get("dep_prefixes", {}))

@@ -1,16 +1,12 @@
-"""Parallel installation: build independent DAG nodes concurrently.
+"""The worker pool of an install wave wider than one worker.
 
-The analogue of ``spack install -jN``: nodes of the (merged) dependency
-DAG are installed as soon as every dependency is in the database, with
-up to ``jobs`` simultaneous workers.  Correctness invariants:
-
-* a node never starts before all of its link-run AND build dependencies
-  finished (they may come from different roots' DAGs — dedup by hash);
-* the install database is only touched under a lock;
-* a failed node poisons its transitive dependents (they are skipped and
-  reported), but independent subtrees keep going — one broken package
-  does not abort the whole wave, matching Spack's ``--keep-going``
-  behaviour.
+:meth:`~repro.installer.installer.Installer.install_all` runs one wave
+over the merged DAG of its roots.  With ``jobs`` or ``fetch_jobs`` above
+1 it hands the wave to :func:`run_pool`, which installs each node on a
+worker thread as soon as all of its dependencies are in the database
+(the analogue of ``spack install -jN``).  The ready queue, the node
+function, the failure rule and the database commit are the installer's,
+the same at every width; this module adds only the threads.
 
 The module also hosts :class:`PayloadPrefetcher`, the fetch half of the
 pipelined binary-install hot path (``--fetch-jobs``): blob fetch +
@@ -23,18 +19,14 @@ extracting node A even when B depends on A.
 
 from __future__ import annotations
 
-import logging
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..obs import metrics, trace
 from ..spec import Spec
 
-__all__ = ["ParallelPlan", "PayloadPrefetcher", "run_parallel_install"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["PayloadPrefetcher", "run_pool"]
 
 
 class PayloadPrefetcher:
@@ -46,7 +38,7 @@ class PayloadPrefetcher:
     lookup and, when the cache carries a trust policy, verifies the
     signed manifest over those bytes.  The DAG-ordered install worker
     later collects the result with :meth:`take` and only pays
-    relocation + writing, so the request count matches the serial path.
+    relocation + writing, so the request count matches one worker's.
 
     Observability: each task runs under an ``installer.fetch`` span, and
     the ``installer.fetch_occupancy`` histogram samples how many fetch
@@ -54,14 +46,15 @@ class PayloadPrefetcher:
     proof that stages overlapped.
     """
 
-    def __init__(self, installer, nodes: Dict[str, Spec], fetch_jobs: int):
+    def __init__(self, installer, nodes: Iterable[Spec], fetch_jobs: int):
         self._lock = threading.Lock()
         self._busy = 0
         self._futures: Dict[str, Future] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(fetch_jobs, 1), thread_name_prefix="fetch"
         )
-        for h, node in nodes.items():
+        for node in nodes:
+            h = node.dag_hash()
             if installer.database.get(h) is not None or node.external or (
                 node.spliced
             ):
@@ -98,14 +91,10 @@ class PayloadPrefetcher:
         when no cache could serve it (a miss).
 
         Blocks until the in-flight fetch finishes; re-raises its error
-        (a corrupt or tampered entry must fail the node exactly as the
-        serial path would).
+        (a corrupt or tampered entry must fail the node exactly as an
+        unprefetched fetch would).
         """
         return self._futures.pop(dag_hash).result()
-
-    @property
-    def prefetched(self) -> int:
-        return len(self._futures)
 
     def close(self) -> None:
         for future in self._futures.values():
@@ -114,159 +103,36 @@ class PayloadPrefetcher:
         self._futures.clear()
 
 
-@dataclass
-class ParallelPlan:
-    """Outcome bookkeeping for one parallel install run."""
+def run_pool(installer, wave, width: int) -> None:
+    """Install every node of ``wave`` on ``width`` worker threads.
 
-    installed: List[str] = field(default_factory=list)
-    failed: Dict[str, str] = field(default_factory=dict)
-    skipped: List[str] = field(default_factory=list)
-    #: high-water mark of simultaneously running builds (observability)
-    max_concurrency: int = 0
-
-
-def run_parallel_install(
-    installer, specs: Sequence[Spec], jobs: int, report=None,
-    fetch_jobs: int = 1,
-) -> ParallelPlan:
-    """Install the merged DAG of ``specs`` with ``jobs`` workers.
-
-    ``installer`` is a :class:`~repro.installer.installer.Installer`;
-    its per-node entry point is invoked under a scheduler that releases
-    a node once all its dependencies are installed.  Per-path counters
-    accumulate into ``report`` when given.  With ``fetch_jobs > 1`` a
-    :class:`PayloadPrefetcher` overlaps blob fetch + verify of cache
-    hits with the DAG-ordered extraction; database writes stay
-    serialized under the scheduler lock either way.
+    ``installer`` is a :class:`~repro.installer.installer.Installer` and
+    ``wave`` its merged DAG.  Ready nodes are submitted as they become
+    ready and each outcome is recorded on the calling thread, so the
+    ready queue needs no lock.  With ``fetch_jobs > 1`` a
+    :class:`PayloadPrefetcher` overlaps blob fetch + verify of cache hits
+    with the DAG-ordered extraction.  An exception that is not an
+    install failure cancels the queued nodes and propagates once the
+    running ones finish.
     """
-    # ---- build the hash-level DAG (merged across roots) ---------------
-    nodes: Dict[str, Spec] = {}
-    dependents: Dict[str, Set[str]] = {}
-    remaining: Dict[str, int] = {}
-    explicit: Set[str] = set()
-    for spec in specs:
-        explicit.add(spec.dag_hash())
-        for node in spec.traverse():
-            h = node.dag_hash()
-            if h in nodes:
-                continue
-            nodes[h] = node
-            deps = {e.spec.dag_hash() for e in node.edges()}
-            remaining[h] = len(deps)
-            for dep in deps:
-                dependents.setdefault(dep, set()).add(h)
-    # dedupe edge counts for nodes discovered after their dependents
-    for h, node in nodes.items():
-        remaining[h] = len({e.spec.dag_hash() for e in node.edges()})
-
-    plan = ParallelPlan()
-    lock = threading.Lock()
-    running = 0
-    poisoned: Set[str] = set()
-
-    if report is None:
-        from .installer import InstallReport
-
-        report = InstallReport()
-
-    def ready_nodes() -> List[str]:
-        return [
-            h
-            for h, count in remaining.items()
-            if count == 0 and h not in poisoned
-        ]
-
-    def install_one(h: str) -> Optional[str]:
-        nonlocal running
-        node = nodes[h]
-        with lock:
-            running += 1
-            plan.max_concurrency = max(plan.max_concurrency, running)
-            occupancy = running
-        # worker-occupancy histogram: how many workers were busy when
-        # each node started (p50 near `jobs` means the pool is saturated)
-        metrics.observe("install.worker_occupancy", occupancy)
-        try:
-            # the installer's node path is not thread-safe around the
-            # database; serialize the DB check/update, run the build
-            # (the slow part) outside the lock via the two-phase helper
-            installer._install_node_locked(node, h in explicit, report, lock)
-            return None
-        except Exception as exc:  # noqa: BLE001 — reported, not raised
-            return f"{type(exc).__name__}: {exc}"
-        finally:
-            with lock:
-                running -= 1
-
     prefetcher: Optional[PayloadPrefetcher] = None
-    if fetch_jobs > 1 and installer.caches:
-        prefetcher = PayloadPrefetcher(installer, nodes, fetch_jobs)
+    if installer.fetch_jobs > 1 and installer.caches:
+        prefetcher = PayloadPrefetcher(installer, wave.nodes, installer.fetch_jobs)
         installer._prefetcher = prefetcher
+    pool = ThreadPoolExecutor(max_workers=width)
     try:
-        with trace.span(
-            "install.parallel", jobs=jobs, nodes=len(nodes),
-            fetch_jobs=fetch_jobs,
-        ) as parallel_span:
-            with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-                futures = {}
-                submitted: Set[str] = set()
-
-                def submit_ready() -> None:
-                    for h in ready_nodes():
-                        if h not in submitted:
-                            submitted.add(h)
-                            futures[pool.submit(install_one, h)] = h
-
-                submit_ready()
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        h = futures.pop(future)
-                        remaining.pop(h, None)
-                        error = future.result()
-                        node = nodes[h]
-                        if error is None:
-                            plan.installed.append(node.name)
-                            for dep in dependents.get(h, ()):  # release dependents
-                                if dep in remaining:
-                                    remaining[dep] -= 1
-                        else:
-                            plan.failed[node.name] = error
-                            logger.warning(
-                                "install of %s failed: %s", node.name, error
-                            )
-                            _poison(h, dependents, poisoned)
-                    submit_ready()
-            parallel_span.set(
-                installed=len(plan.installed),
-                failed=len(plan.failed),
-                max_concurrency=plan.max_concurrency,
-            )
+        futures: Dict[Future, int] = {}
+        while True:
+            while wave.ready:
+                i = wave.pop()
+                futures[pool.submit(installer._install_node, wave, i)] = i
+            if not futures:
+                break
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                wave.finish(futures.pop(future), future.result())
     finally:
+        pool.shutdown(cancel_futures=True)
         if prefetcher is not None:
             installer._prefetcher = None
             prefetcher.close()
-    metrics.gauge("install.max_concurrency").max(plan.max_concurrency)
-    metrics.inc("install.parallel_nodes", len(plan.installed))
-    logger.info(
-        "parallel install: %d node(s) with %d job(s), peak concurrency %d",
-        len(plan.installed), jobs, plan.max_concurrency,
-    )
-
-    for h in poisoned:
-        if h in nodes and nodes[h].name not in plan.failed:
-            plan.skipped.append(nodes[h].name)
-            remaining.pop(h, None)
-    with lock:
-        installer.database.save()
-    return plan
-
-
-def _poison(h: str, dependents: Dict[str, Set[str]], poisoned: Set[str]) -> None:
-    stack = list(dependents.get(h, ()))
-    while stack:
-        current = stack.pop()
-        if current in poisoned:
-            continue
-        poisoned.add(current)
-        stack.extend(dependents.get(current, ()))

@@ -194,3 +194,34 @@ class TestInstallFailuresAreErrors:
                        *common])
         err = self._assert_plain_error(rc, capsys, telemetry)
         assert "no binary for build spec example" in err
+
+    @pytest.mark.parametrize("fetch_jobs", ["1", "2"])
+    def test_abi_refused_rewire(self, repo, tmp_path, capsys, monkeypatch,
+                                fetch_jobs):
+        """openmpi declares an unsound ``can_splice("mpich@3.4.3")``: the
+        solver splices it in and the rewirer refuses the binary.  That is
+        the declaration's fault, reported the same at every width."""
+        from repro.cli import main
+        from repro.package.directives import CanSpliceDecl
+        from repro.spec import parse_one
+
+        openmpi = repo.get("openmpi")
+        openmpi.can_splice_decls = openmpi.can_splice_decls + [
+            CanSpliceDecl(target=parse_one("mpich@3.4.3"))
+        ]
+        monkeypatch.setattr("repro.repos.mock.make_mock_repo", lambda: repo)
+        seed = Installer(tmp_path / "seed", repo)
+        cache = BuildCache(tmp_path / "cache")
+        for request in ("example@1.1.0 ^mpich@3.4.3", "openmpi"):
+            spec = Concretizer(repo).solve([request]).roots[0]
+            seed.install(spec)
+            seed.push_to_cache(cache, spec)
+        telemetry = tmp_path / "telemetry"
+        rc = main([
+            "--repo", "mock", "install", "--splice", "example@1.1.0 ^openmpi",
+            "--store", str(tmp_path / "s3"), "--cache", str(tmp_path / "cache"),
+            "--fetch-jobs", fetch_jobs, "--telemetry-dir", str(telemetry),
+        ])
+        err = self._assert_plain_error(rc, capsys, telemetry)
+        assert len(err.splitlines()) == 1, err
+        assert "ABI incompatible" in err

@@ -124,8 +124,14 @@ class TestSplicedInstall:
         target.install(unsafe["openmpi"])
         from repro.binary.rewire import RewireError
 
-        with pytest.raises(RewireError):
+        with pytest.raises(InstallError, match="ABI incompatible") as excinfo:
             target.install(unsafe)
+        causes = []
+        error = excinfo.value
+        while error is not None:
+            causes.append(type(error))
+            error = error.__cause__
+        assert RewireError in causes
 
     def test_unsafe_splice_allowed_without_verification(self, repo, spec, tmp_path):
         cache = self._cached_stack(repo, spec, tmp_path)

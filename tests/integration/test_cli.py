@@ -1,8 +1,12 @@
 """CLI tests (python -m repro ...)."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestSpecCommand:
@@ -169,3 +173,24 @@ class TestEnvCommand:
     def test_env_missing_errors(self, capsys, tmp_path):
         assert main(["--repo", "mock", "env", "status",
                      "--env", str(tmp_path / "ghost")]) == 1
+
+
+def readme_commands():
+    """The ``python -m repro`` command lines of README.md, each cut at
+    its first comment, ``;``, pipe or redirection."""
+    readme = Path(__file__).resolve().parents[2] / "README.md"
+    commands = []
+    for line in readme.read_text().splitlines():
+        _, found, rest = line.partition("python -m repro")
+        if found:
+            commands.append(re.split(r"[#;|>]", rest)[0].strip())
+    return commands
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_cli_example_parses(self, command):
+        build_parser().parse_args(shlex.split(command))
+
+    def test_readme_has_cli_examples(self):
+        assert len(readme_commands()) >= 10

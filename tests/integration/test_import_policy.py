@@ -107,9 +107,11 @@ class TestImportPolicy:
         )
         assert code == 0 and "extracted=4" in out, out
         assert "repro.installer.installer" in modules
-        assert denied(
-            modules, ["repro.asp", "repro.concretize", "http.server"]
-        ) == []
+        # one install worker runs inline: no pool, no thread machinery
+        assert denied(modules, [
+            "repro.asp", "repro.concretize", "http.server",
+            "repro.installer.parallel", "concurrent.futures",
+        ]) == []
 
     def test_help_loads_no_subsystem(self, tmp_path):
         code, out, modules = loaded_modules(tmp_path, "--help")
